@@ -3,36 +3,19 @@
  * Per-harness observability session.
  *
  * Every figure/table/ablation harness owns one BenchSession. The
- * session strips the shared observability flags from the command
- * line before the harness parses its own arguments, carries the
- * metrics registry and (optional) trace collector the harness hands
- * to engines and characterizers, accumulates engine totals across
- * runs, and -- on destruction -- writes the run-provenance manifest
- * (and trace) next to the harness's printed output:
+ * session parses the command line against one flag table -- the
+ * shared observability flags of sessionFlags() plus the harness's
+ * own -- carries the metrics registry and (optional) trace collector
+ * the harness hands to engines and characterizers, accumulates engine
+ * totals across runs, and -- on destruction -- writes the
+ * run-provenance manifest (and trace) next to the harness's printed
+ * output.
  *
- *   --manifest <path>   manifest destination
- *                       (default BENCH_<tool>.json in the cwd)
- *   --no-manifest       skip the manifest entirely
- *   --trace [<path>]    also write a Chrome/Perfetto trace
- *                       (default BENCH_<tool>.trace.json)
- *   --flight-recorder [<n>]
- *                       attach a per-core flight recorder (black-box
- *                       event ring, n events per core, default 256);
- *                       the ring is dumped to BENCH_<tool>.flight.json
- *                       when a violation latched a dump request or
- *                       the harness was interrupted
- *   --flight-dump       always dump the flight ring at exit
- *                       (implies --flight-recorder)
- *   --jobs <n>          worker threads for parallel sweeps
- *                       (default: hardware concurrency; n >= 1;
- *                       outputs are identical at every n)
- *   --engine-mode <m>   engine step-loop implementation: soa
- *                       (default), legacy (identity reference), or
- *                       sampled (steady-state fast-forward;
- *                       approximate -- see EXPERIMENTS.md)
- *
- * The filtered argument list is exposed via argc()/argv() so
- * harnesses that reject unknown arguments keep doing so.
+ * Every value flag takes "--flag value" and "--flag=value" alike.
+ * The values of --trace and --flight-recorder are optional; the
+ * separate form takes one only when the next argument is not a flag.
+ * Bad input ends the run with the usage and exit code 2, and so does
+ * any util::FatalError the harness lets escape (see onTerminate).
  *
  * The session also installs SIGINT/SIGTERM handlers for its
  * lifetime: an interrupted harness still flushes its manifest (and
@@ -44,14 +27,20 @@
 
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,6 +55,71 @@
 
 namespace atmsim::bench {
 
+/** Parse all of text as a T, or util::fatal naming the flag. */
+template <typename T>
+T
+parseFlagNumber(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+        util::fatal(flag, " wants ",
+                    std::is_integral_v<T> ? "an integer" : "a number",
+                    ", got '", text, "'");
+    }
+    return value;
+}
+
+/** One row of a flag table: a name, where its value goes, and help. */
+struct Flag
+{
+    /** Switch: the flag alone sets *dest. */
+    Flag(std::string flag, bool *dest, std::string text)
+        : name(std::move(flag)), help(std::move(text)),
+          apply([dest](const std::string &) { *dest = true; })
+    {
+    }
+
+    Flag(std::string flag, std::string *dest, std::string text)
+        : name(std::move(flag)), placeholder("<value>"),
+          help(std::move(text)),
+          apply([dest](const std::string &value) { *dest = value; })
+    {
+    }
+
+    /** Integer or real value; the whole text must parse and fit. */
+    template <typename T>
+    Flag(std::string flag, T *dest, std::string text)
+        : name(std::move(flag)),
+          placeholder(std::is_integral_v<T> ? "<n>" : "<x>"),
+          help(std::move(text)),
+          apply([dest, flag = name](const std::string &value) {
+              *dest = parseFlagNumber<T>(flag, value);
+          })
+    {
+        static_assert(std::is_arithmetic_v<T>,
+                      "a flag stores a bool, std::string or number");
+    }
+
+    /** Value handed to parse, which stores it or calls util::fatal;
+     *  an empty value_name makes the flag a switch. */
+    Flag(std::string flag, std::string value_name,
+         std::function<void(const std::string &)> parse, std::string text,
+         bool value_optional = false)
+        : name(std::move(flag)), placeholder(std::move(value_name)),
+          help(std::move(text)), apply(std::move(parse)),
+          optional(value_optional)
+    {
+    }
+
+    std::string name;        ///< "--csv"
+    std::string placeholder; ///< "<n>" in the usage; empty: a switch
+    std::string help;
+    std::function<void(const std::string &)> apply;
+    bool optional = false; ///< the value may be left out ("" then)
+};
+
 /** Observability wrapper for one harness invocation. */
 class BenchSession
 {
@@ -73,16 +127,19 @@ class BenchSession
     /**
      * @param tool Harness name, e.g. "fig11_stress_test"; names the
      *        default output files and the manifest's tool field.
-     * @param argc,argv The harness's raw command line; observability
-     *        flags are consumed here.
+     * @param argc,argv The harness's raw command line.
+     * @param flags The harness's own flags, parsed together with the
+     *        shared observability flags.
      */
-    BenchSession(std::string tool, int argc, char **argv)
+    BenchSession(std::string tool, int argc, char **argv,
+                 const std::vector<Flag> &flags = {})
         : tool_(std::move(tool)), startWallNs_(obs::monotonicWallNs())
     {
+        previousTerminate_ = std::set_terminate(&BenchSession::onTerminate);
         manifestPath_ = "BENCH_" + tool_ + ".json";
         tracePath_ = "BENCH_" + tool_ + ".trace.json";
         flightPath_ = "BENCH_" + tool_ + ".flight.json";
-        parseArgs(argc, argv);
+        parseArgs(argc, argv, flags);
         manifest_.jobsRequested = jobs_; // 0 = flag absent.
         if (jobs_ == 0)
             jobs_ = exec::hardwareConcurrency();
@@ -99,6 +156,7 @@ class BenchSession
     ~BenchSession()
     {
         removeSignalHandlers();
+        std::set_terminate(previousTerminate_);
         try {
             writeOutputs();
         } catch (const std::exception &e) {
@@ -110,15 +168,6 @@ class BenchSession
 
     BenchSession(const BenchSession &) = delete;
     BenchSession &operator=(const BenchSession &) = delete;
-
-    // --- Filtered command line -----------------------------------------
-
-    int argc() const { return static_cast<int>(argvPtrs_.size()); }
-
-    char **argv() { return argvPtrs_.data(); }
-
-    /** Filtered arguments without argv[0]. */
-    const std::vector<std::string> &args() const { return args_; }
 
     // --- Observability backends ----------------------------------------
 
@@ -267,93 +316,141 @@ class BenchSession
         return os.str();
     }
 
-    void
-    parseArgs(int argc, char **argv)
+    /** The shared flags, writing into this session. */
+    std::vector<Flag>
+    sessionFlags()
     {
-        argvPtrs_.push_back(argc > 0 ? argv[0] : nullptr);
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const bool has_next = i + 1 < argc
-                                  && argv[i + 1][0] != '-';
-            if (arg == "--no-manifest") {
-                manifestEnabled_ = false;
-            } else if (arg == "--manifest" && has_next) {
-                manifestPath_ = argv[++i];
-            } else if (arg.rfind("--manifest=", 0) == 0) {
-                manifestPath_ = arg.substr(11);
-            } else if (arg == "--trace") {
-                traceEnabled_ = true;
-                if (has_next)
-                    tracePath_ = argv[++i];
-            } else if (arg.rfind("--trace=", 0) == 0) {
-                traceEnabled_ = true;
-                tracePath_ = arg.substr(8);
-            } else if (arg == "--flight-recorder") {
-                flightEnabled_ = true;
-                if (has_next)
-                    flightCapacity_ = parseFlightCapacity(argv[++i]);
-            } else if (arg.rfind("--flight-recorder=", 0) == 0) {
-                flightEnabled_ = true;
-                flightCapacity_ = parseFlightCapacity(arg.substr(18));
-            } else if (arg == "--flight-dump") {
-                flightEnabled_ = true;
-                flightDumpForced_ = true;
-            } else if (arg == "--jobs" && i + 1 < argc) {
-                jobs_ = parseJobs(argv[++i]);
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                jobs_ = parseJobs(arg.substr(7));
-            } else if (arg == "--engine-mode" && i + 1 < argc) {
-                engineMode_ = parseEngineMode(argv[++i]);
-            } else if (arg.rfind("--engine-mode=", 0) == 0) {
-                engineMode_ = parseEngineMode(arg.substr(14));
-            } else {
-                args_.push_back(arg);
-                argvPtrs_.push_back(argv[i]);
+        return {
+            {"--manifest", &manifestPath_,
+             "manifest destination (default BENCH_<tool>.json)"},
+            {"--no-manifest", "",
+             [this](const std::string &) { manifestEnabled_ = false; },
+             "skip the manifest"},
+            {"--trace", "<path>",
+             [this](const std::string &path) {
+                 traceEnabled_ = true;
+                 if (!path.empty())
+                     tracePath_ = path;
+             },
+             "also write a Chrome/Perfetto trace "
+             "(default BENCH_<tool>.trace.json)",
+             true},
+            {"--flight-recorder", "<n>",
+             [this](const std::string &text) {
+                 flightEnabled_ = true;
+                 if (!text.empty())
+                     flightCapacity_ = atLeastOne("--flight-recorder", text);
+             },
+             "attach a per-core flight recorder of n events (default "
+             "256), dumped to BENCH_<tool>.flight.json on a violation "
+             "or interrupt",
+             true},
+            {"--flight-dump", "",
+             [this](const std::string &) {
+                 flightEnabled_ = true;
+                 flightDumpForced_ = true;
+             },
+             "always dump the flight ring at exit"},
+            {"--jobs", "<n>",
+             [this](const std::string &text) {
+                 jobs_ = atLeastOne("--jobs", text);
+             },
+             "worker threads (default: hardware concurrency; outputs "
+             "are identical at every n)"},
+            {"--engine-mode", "<m>",
+             [this](const std::string &text) {
+                 if (!sim::engineModeFromName(text, engineMode_))
+                     util::fatal("--engine-mode wants legacy, soa, or "
+                                 "sampled, got '", text, "'");
+             },
+             "engine step loop: soa (default), legacy (identity "
+             "reference) or sampled (approximate fast-forward)"},
+        };
+    }
+
+    static int
+    atLeastOne(const std::string &flag, const std::string &text)
+    {
+        const int value = parseFlagNumber<int>(flag, text);
+        if (value < 1)
+            util::fatal(flag, " wants an integer >= 1, got '", text, "'");
+        return value;
+    }
+
+    static std::string
+    usage(const char *program, const std::vector<Flag> &harness,
+          const std::vector<Flag> &shared)
+    {
+        std::ostringstream os;
+        os << "usage: " << (program ? program : "harness") << " [flags]\n";
+        for (const std::vector<Flag> *table : {&harness, &shared}) {
+            for (const Flag &flag : *table) {
+                std::string lhs = flag.name;
+                if (flag.optional)
+                    lhs += " [" + flag.placeholder + "]";
+                else if (!flag.placeholder.empty())
+                    lhs += " " + flag.placeholder;
+                os << "  " << std::left << std::setw(24) << lhs << " "
+                   << flag.help << "\n";
             }
         }
-        manifest_.args = args_;
+        return os.str();
     }
 
-    static int
-    parseJobs(const std::string &text)
+    static const Flag *
+    findFlag(const std::vector<Flag> &table, const std::string &name)
     {
-        std::size_t used = 0;
-        int jobs = 0;
+        const auto it =
+            std::find_if(table.begin(), table.end(),
+                         [&](const Flag &f) { return f.name == name; });
+        return it == table.end() ? nullptr : &*it;
+    }
+
+    /**
+     * Match every argument against the shared and the harness flags;
+     * on bad input, print the usage after util::fatal's message. The
+     * harness's arguments, as given, become the manifest's `args`.
+     */
+    void
+    parseArgs(int argc, char **argv, const std::vector<Flag> &harness)
+    {
+        const std::vector<Flag> shared = sessionFlags();
         try {
-            jobs = std::stoi(text, &used);
-        } catch (const std::exception &) {
-            used = 0;
+            for (int i = 1; i < argc; ++i) {
+                const std::string arg = argv[i];
+                const std::size_t eq = arg.find('=');
+                const std::string name = arg.substr(0, eq);
+                const Flag *flag = findFlag(harness, name);
+                const bool own = flag != nullptr;
+                if (!own)
+                    flag = findFlag(shared, name);
+                if (!flag)
+                    util::fatal("unknown argument '", arg, "'");
+                if (own)
+                    manifest_.args.push_back(arg);
+                std::string value;
+                if (eq != std::string::npos) {
+                    if (flag->placeholder.empty())
+                        util::fatal(name, " takes no value");
+                    value = arg.substr(eq + 1);
+                } else if (!flag->placeholder.empty()) {
+                    const bool has_next = i + 1 < argc;
+                    if (!has_next && !flag->optional)
+                        util::fatal(name, " wants a value");
+                    if (has_next
+                        && (!flag->optional || argv[i + 1][0] != '-')) {
+                        value = argv[++i];
+                        if (own)
+                            manifest_.args.push_back(value);
+                    }
+                }
+                flag->apply(value);
+            }
+        } catch (const util::FatalError &) {
+            std::cerr << usage(argc > 0 ? argv[0] : nullptr, harness,
+                               shared);
+            throw;
         }
-        if (used != text.size() || jobs < 1)
-            util::fatal("--jobs wants an integer >= 1, got '" + text
-                        + "'");
-        return jobs;
-    }
-
-    static sim::EngineMode
-    parseEngineMode(const std::string &text)
-    {
-        sim::EngineMode mode = sim::EngineMode::Soa;
-        if (!sim::engineModeFromName(text, mode))
-            util::fatal("--engine-mode wants legacy, soa, or sampled,"
-                        " got '" + text + "'");
-        return mode;
-    }
-
-    static int
-    parseFlightCapacity(const std::string &text)
-    {
-        std::size_t used = 0;
-        int capacity = 0;
-        try {
-            capacity = std::stoi(text, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        if (used != text.size() || capacity < 1)
-            util::fatal("--flight-recorder wants a per-core capacity"
-                        " >= 1, got '" + text + "'");
-        return capacity;
     }
 
     void
@@ -379,6 +476,30 @@ class BenchSession
             }
         }
         manifest_.counters.emplace_back(name, value);
+    }
+
+    /**
+     * The one place bad input becomes an exit code: a util::FatalError
+     * that escapes the harness -- a malformed flag, or a bad fault
+     * spec found later -- ends the process with exit code 2.
+     * util::fatal has already logged the message (and parseArgs the
+     * usage). Like the abort it replaces, this writes no manifest;
+     * any other exception still reaches the previous handler.
+     */
+    [[noreturn]] static void
+    onTerminate()
+    {
+        try {
+            if (const std::exception_ptr e = std::current_exception())
+                std::rethrow_exception(e);
+        } catch (const util::FatalError &) {
+            std::cout.flush();
+            std::_Exit(2);
+        } catch (...) {
+        }
+        if (previousTerminate_)
+            previousTerminate_();
+        std::abort();
     }
 
     /**
@@ -568,6 +689,9 @@ class BenchSession
      */
     static constexpr int kFlightCores = 64;
 
+    /** The handler onTerminate hands any other exception to. */
+    static inline std::terminate_handler previousTerminate_ = nullptr;
+
     std::string tool_;
     double startWallNs_;
     bool manifestEnabled_ = true;
@@ -580,8 +704,6 @@ class BenchSession
     std::string manifestPath_;
     std::string tracePath_;
     std::string flightPath_;
-    std::vector<std::string> args_;
-    std::vector<char *> argvPtrs_;
     obs::MetricsRegistry metrics_;
     std::optional<obs::TraceCollector> trace_;
     std::optional<obs::FlightRecorder> flight_;

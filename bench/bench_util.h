@@ -48,19 +48,4 @@ characterize(chip::Chip &chip, BenchSession &session)
     return characterizer.characterizeChip();
 }
 
-/**
- * Parse an optional "--csv <path>" argument; returns the path or an
- * empty string. Harnesses that support it dump their main series as
- * machine-readable CSV next to the printed tables.
- */
-inline std::string
-csvPathFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--csv")
-            return argv[i + 1];
-    }
-    return {};
-}
-
 } // namespace atmsim::bench

@@ -15,8 +15,6 @@
  *   tools/bench/check_regression.py BENCH_characterize.json \
  *       --reference bench/BENCH_characterize.json \
  *       --metric counters:characterize.cores_per_sec
- *
- * Usage: characterize_scaling [--jobs <n>] [--reps <n>]
  */
 
 #include <iostream>
@@ -44,19 +42,15 @@ tableCsv(const core::LimitTable &table)
 } // namespace
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("characterize", raw_argc, raw_argv);
+    int reps = 2;
+    bench::BenchSession session(
+        "characterize", argc, argv,
+        {{"--reps", &reps, "characterization repeats (default 2)"}});
     bench::banner("Characterization scaling",
                   "Engine-mode characterizeChip() wall clock, serial "
                   "vs --jobs, reference chip 0.");
-
-    int reps = 2;
-    const auto &args = session.args();
-    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == "--reps")
-            reps = std::stoi(args[i + 1]);
-    }
 
     auto chip = bench::makeReferenceChip(0);
     session.setChip(chip->name());

@@ -8,9 +8,6 @@
  * trades margin for exposure when hardware misbehaves; the monitor
  * buys the margin back per-core, without touching healthy cores.
  *
- * Usage: fault_campaign [--csv <path>] [--serial-check]
- *                       [--engine-mode legacy|soa|sampled]
- *
  * --serial-check re-runs the sweep serially through the legacy
  * (object-per-core) engine and fails unless every cell's result is
  * bitwise-identical to the parallel run -- one command exercises both
@@ -111,11 +108,15 @@ campaignFor(const SweepPoint &point)
 } // namespace
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("fault_campaign", raw_argc, raw_argv);
-    const int argc = session.argc();
-    char **argv = session.argv();
+    std::string csv_path;
+    bool serial_check = false;
+    bench::BenchSession session(
+        "fault_campaign", argc, argv,
+        {{"--csv", &csv_path, "also write the sweep grid as CSV"},
+         {"--serial-check", &serial_check,
+          "re-run every cell serially on the legacy engine and compare"}});
     bench::banner("Fault campaign",
                   "Fault kind x intensity x deployment sweep: "
                   "violation episodes, silent failures, and monitor "
@@ -148,13 +149,6 @@ main(int raw_argc, char **raw_argv)
     const core::LimitTable limits = bench::characterize(*chip, session);
     const auto &x264 = workload::findWorkload("x264");
 
-    bool serial_check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--serial-check")
-            serial_check = true;
-    }
-
-    const std::string csv_path = bench::csvPathFromArgs(argc, argv);
     std::unique_ptr<util::CsvWriter> csv;
     if (!csv_path.empty()) {
         csv = std::make_unique<util::CsvWriter>(csv_path);

@@ -6,9 +6,6 @@
  * variation trend while adding safety. P0C1 and P0C7 show a >200 MHz
  * differential at their limits.
  *
- * Usage: fig11_stress_test [--seed <n>] [--faults <campaign>]
- *                          [--engine-mode legacy|soa|sampled]
- *
  * With --faults, the deployed (limit) configuration of chip 0 is
  * replayed through the detailed engine under the given fault campaign
  * (';'-separated FaultSpec strings, e.g.
@@ -26,7 +23,6 @@
 #include "core/stress_test.h"
 #include "fault/fault_campaign.h"
 #include "sim/sim_engine.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 using namespace atmsim;
@@ -85,25 +81,15 @@ replayCampaign(const std::string &campaign_text, std::uint64_t seed,
 } // namespace
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("fig11_stress_test", raw_argc,
-                                raw_argv);
-    const int argc = session.argc();
-    char **argv = session.argv();
     std::uint64_t seed = 1;
     std::string faults;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = std::stoull(argv[++i]);
-        } else if (arg == "--faults" && i + 1 < argc) {
-            faults = argv[++i];
-        } else {
-            util::fatal("unknown argument '", arg, "'; usage: ",
-                        argv[0], " [--seed <n>] [--faults <campaign>]");
-        }
-    }
+    bench::BenchSession session(
+        "fig11_stress_test", argc, argv,
+        {{"--seed", &seed, "engine seed of the fault replay (default 1)"},
+         {"--faults", &faults,
+          "replay chip 0's limit configuration under this campaign"}});
     session.setSeed(seed);
 
     bench::banner("Figure 11",

@@ -23,12 +23,12 @@
 using namespace atmsim;
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("fig14_managed_performance", raw_argc,
-                                raw_argv);
-    const int argc = session.argc();
-    char **argv = session.argv();
+    std::string csv_path;
+    bench::BenchSession session(
+        "fig14_managed_performance", argc, argv,
+        {{"--csv", &csv_path, "also write the per-pair series as CSV"}});
     bench::banner("Figure 14",
                   "Critical-app performance vs. static margin, "
                   "<critical : background> pairs on chip P0.");
@@ -50,7 +50,6 @@ main(int raw_argc, char **raw_argv)
                      "throttled cores"});
     util::RunningStats s_def, s_fine, s_max, s_bal;
 
-    const std::string csv_path = bench::csvPathFromArgs(argc, argv);
     std::unique_ptr<util::CsvWriter> csv;
     if (!csv_path.empty()) {
         csv = std::make_unique<util::CsvWriter>(csv_path);

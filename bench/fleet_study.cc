@@ -5,26 +5,6 @@
  * forked worker processes with supervised retry, watchdog, periodic
  * checkpoints, and exact resume; the aggregate is bitwise-identical
  * to the single-process population_study fold at any worker count.
- *
- * Usage: fleet_study [options]
- *   --chips <n>              population size (default 24)
- *   --seed <n>               seed base (default 1000)
- *   --workers <n>            forked workers; 0 = in-process (default)
- *   --shard-size <n>         chips per shard (default 4)
- *   --checkpoint-dir <path>  enable checkpointing into <path>
- *   --checkpoint-every <n>   checkpoint cadence in decided shards
- *   --resume                 continue from the checkpoint directory
- *   --strict-resume          fail instead of restarting on a bad one
- *   --max-retries <n>        re-assignments per shard (default 2)
- *   --watchdog-seconds <x>   hung-worker timeout (default 30)
- *   --backoff-seconds <x>    base retry backoff (default 0.25)
- *   --fail-inject <spec>     shard=K[,chip=C][,times=N][,mode=exit|hang]
- *   --halt-after <n>         stop once <n> shards are decided
- *   --self-interrupt-after <n>  halt at <n> shards, then raise
- *                               SIGINT (exercises the interrupted-
- *                               manifest path; exits 130)
- *   --stats-out <path>       write the exact stats+metrics JSON
- *   --serial-check           re-run single-process and compare bitwise
  */
 
 #include <csignal>
@@ -65,101 +45,55 @@ resultJson(const core::PopulationStats &stats,
     return os.str();
 }
 
-long
-parseLong(const std::string &flag, const std::string &text)
-{
-    std::size_t used = 0;
-    long value = 0;
-    try {
-        value = std::stol(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != text.size())
-        util::fatal(flag, " wants an integer, got '", text, "'");
-    return value;
-}
-
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != text.size())
-        util::fatal(flag, " wants a number, got '", text, "'");
-    return value;
-}
-
 } // namespace
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("fleet_study", raw_argc, raw_argv);
-    const int argc = session.argc();
-    char **argv = session.argv();
-
     fleet::FleetConfig config;
     std::string statsOut;
     bool serialCheck = false;
     bool selfInterrupt = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                util::fatal(arg, " wants ", what);
-            return argv[++i];
-        };
-        if (arg == "--chips") {
-            config.population.chipCount =
-                static_cast<int>(parseLong(arg, next("a count")));
-        } else if (arg == "--seed") {
-            config.population.seedBase = static_cast<std::uint64_t>(
-                parseLong(arg, next("a seed")));
-        } else if (arg == "--workers") {
-            config.workers =
-                static_cast<int>(parseLong(arg, next("a count")));
-        } else if (arg == "--shard-size") {
-            config.shardSize =
-                static_cast<int>(parseLong(arg, next("a count")));
-        } else if (arg == "--checkpoint-dir") {
-            config.checkpointDir = next("a directory");
-        } else if (arg == "--checkpoint-every") {
-            config.checkpointEvery =
-                static_cast<int>(parseLong(arg, next("a count")));
-        } else if (arg == "--resume") {
-            config.resume = true;
-        } else if (arg == "--strict-resume") {
-            config.strictResume = true;
-        } else if (arg == "--max-retries") {
-            config.maxRetries =
-                static_cast<int>(parseLong(arg, next("a count")));
-        } else if (arg == "--watchdog-seconds") {
-            config.watchdogSeconds =
-                parseDouble(arg, next("seconds"));
-        } else if (arg == "--backoff-seconds") {
-            config.backoffSeconds = parseDouble(arg, next("seconds"));
-        } else if (arg == "--fail-inject") {
-            config.failInject = fleet::FailInject::parse(next("a spec"));
-        } else if (arg == "--halt-after") {
-            config.haltAfterShards = parseLong(arg, next("a count"));
-        } else if (arg == "--self-interrupt-after") {
-            config.haltAfterShards = parseLong(arg, next("a count"));
-            selfInterrupt = true;
-        } else if (arg == "--stats-out") {
-            statsOut = next("a path");
-        } else if (arg == "--serial-check") {
-            serialCheck = true;
-        } else {
-            util::fatal("fleet_study: unknown argument '", arg, "'");
-        }
-    }
+    const auto halt_then_interrupt = [&](const std::string &text) {
+        config.haltAfterShards =
+            bench::parseFlagNumber<long>("--self-interrupt-after", text);
+        selfInterrupt = true;
+    };
+    bench::BenchSession session(
+        "fleet_study", argc, argv,
+        {{"--chips", &config.population.chipCount,
+          "population size (default 24)"},
+         {"--seed", &config.population.seedBase, "seed base (default 1000)"},
+         {"--workers", &config.workers,
+          "forked workers; 0 = in-process (default)"},
+         {"--shard-size", &config.shardSize, "chips per shard (default 4)"},
+         {"--checkpoint-dir", &config.checkpointDir,
+          "enable checkpointing into this directory"},
+         {"--checkpoint-every", &config.checkpointEvery,
+          "checkpoint cadence in decided shards"},
+         {"--resume", &config.resume,
+          "continue from the checkpoint directory"},
+         {"--strict-resume", &config.strictResume,
+          "fail instead of restarting on a bad checkpoint"},
+         {"--max-retries", &config.maxRetries,
+          "re-assignments per shard (default 2)"},
+         {"--watchdog-seconds", &config.watchdogSeconds,
+          "hung-worker timeout (default 30)"},
+         {"--backoff-seconds", &config.backoffSeconds,
+          "base retry backoff (default 0.25)"},
+         {"--fail-inject", "<spec>",
+          [&](const std::string &text) {
+              config.failInject = fleet::FailInject::parse(text);
+          },
+          "shard=K[,chip=C][,times=N][,mode=exit|hang]"},
+         {"--halt-after", &config.haltAfterShards,
+          "stop once n shards are decided"},
+         {"--self-interrupt-after", "<n>", halt_then_interrupt,
+          "halt at n shards, then raise SIGINT (exits 130)"},
+         {"--stats-out", &statsOut,
+          "write the exact stats+metrics JSON to this path"},
+         {"--serial-check", &serialCheck,
+          "re-run single-process and compare bitwise"}});
 
     std::cout << "\n=== Fleet population study ===\n"
               << config.population.chipCount << " chips in shards of "

@@ -15,17 +15,16 @@
 using namespace atmsim;
 
 int
-main(int raw_argc, char **raw_argv)
+main(int argc, char **argv)
 {
-    bench::BenchSession session("table1_limits", raw_argc,
-                                raw_argv);
-    const int argc = session.argc();
-    char **argv = session.argv();
+    std::string csv_path;
+    bench::BenchSession session(
+        "table1_limits", argc, argv,
+        {{"--csv", &csv_path, "also write both limit tables as CSV"}});
     bench::banner("Table I",
                   "ATM limits from the full characterization procedure "
                   "(idle -> uBench -> realistic workloads).");
 
-    const std::string csv_path = bench::csvPathFromArgs(argc, argv);
     std::ofstream csv;
     if (!csv_path.empty()) {
         csv.open(csv_path);

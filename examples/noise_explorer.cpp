@@ -14,14 +14,49 @@
 #include <vector>
 
 #include "chip/chip.h"
+#include "sim/observer.h"
 #include "sim/sim_engine.h"
-#include "sim/telemetry.h"
 #include "util/ascii_plot.h"
 #include "util/table.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
 
 using namespace atmsim;
+
+namespace {
+
+/** Core 0's supply voltage and clock frequency at every sample. */
+struct Core0Waveform : sim::EngineObserver
+{
+    void
+    onSample(util::Nanoseconds now,
+             const std::vector<sim::CoreSample> &cores) override
+    {
+        timeNs.push_back(now.value());
+        timeUs.push_back(now.value() / 1000.0);
+        mv.push_back(cores[0].voltageV.value() * 1000.0);
+        freqMhz.push_back(cores[0].freqMhz.value());
+    }
+
+    /** Mean frequency over the last window_ns of the run (the
+     *  off-chip controller's input). */
+    double
+    windowAvgFreqMhz(double window_ns) const
+    {
+        const double cutoff = timeNs.back() - window_ns;
+        double sum = 0.0;
+        std::size_t count = 0;
+        for (std::size_t i = timeNs.size(); i-- > 0 && timeNs[i] >= cutoff;) {
+            sum += freqMhz[i];
+            ++count;
+        }
+        return sum / static_cast<double>(count);
+    }
+
+    std::vector<double> timeNs, timeUs, mv, freqMhz;
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -42,35 +77,29 @@ main(int argc, char **argv)
               << chip.core(0).name() << " at CPM reduction " << reduction
               << " for 4 us of detailed simulation...\n";
 
-    sim::TelemetryRecorder telemetry(chip.coreCount());
+    Core0Waveform waveform;
     sim::SimConfig config;
     config.stopOnViolation = false;
     config.statsCadence = 5;
     sim::SimEngine engine(&chip, config);
-    engine.addObserver(&telemetry);
+    engine.addObserver(&waveform);
     const sim::RunResult result = engine.run(4.0);
 
-    std::vector<double> t_us, volts, freqs;
-    for (const auto &sample : telemetry.series(0)) {
-        t_us.push_back(sample.timeNs.value() / 1000.0);
-        volts.push_back(sample.voltageV.value() * 1000.0); // mV
-        freqs.push_back(sample.freqMhz.value());
-    }
-
     util::AsciiPlot vplot(72, 14);
-    vplot.addSeries("core voltage", t_us, volts, '*');
+    vplot.addSeries("core voltage", waveform.timeUs, waveform.mv, '*');
     vplot.setLabels("time (us)", "mV");
     vplot.print(std::cout);
     std::cout << "\n";
 
     util::AsciiPlot fplot(72, 14);
-    fplot.addSeries("core frequency", t_us, freqs, '+');
+    fplot.addSeries("core frequency", waveform.timeUs, waveform.freqMhz,
+                    '+');
     fplot.setLabels("time (us)", "MHz");
     fplot.print(std::cout);
 
     std::cout << "\nsliding-window average frequency (the off-chip "
                  "controller's input): "
-              << util::fmtInt(telemetry.windowAvgFreqMhz(0, 2000.0))
+              << util::fmtInt(waveform.windowAvgFreqMhz(2000.0))
               << " MHz over the last 2 us\n";
     std::cout << "run summary: mean frequency "
               << util::fmtInt(result.meanFreqMhz(0)) << " MHz, min core "

@@ -133,6 +133,70 @@ AtmManager::finish(Scenario scenario, const ScheduleRequest &request,
     return result;
 }
 
+void
+throttleBackground(
+    chip::Chip &chip, const std::vector<int> &protected_cores,
+    const std::function<bool(const chip::ChipSteadyState &)> &qos_met)
+{
+    std::vector<int> background;
+    for (int c = 0; c < chip.coreCount(); ++c) {
+        if (!chip.assignment(c).idle()
+            && std::find(protected_cores.begin(), protected_cores.end(),
+                         c)
+                   == protected_cores.end())
+            background.push_back(c);
+    }
+    // Each background core is throttled at most once per p-state (ATM
+    // overclock to the top p-state, then down to the floor) and gated
+    // once, so after this many actions nothing is left to shed.
+    const std::size_t max_actions =
+        background.size() * (chip::pstateTableMhz().size() + 1);
+    for (std::size_t action = 0; action < max_actions; ++action) {
+        const chip::ChipSteadyState st = chip.solveSteadyState();
+        if (qos_met(st))
+            return;
+        // The hungriest core above the floor is throttled; once all
+        // of them sit at the floor, the hungriest one is gated.
+        int victim = -1;
+        int gate = -1;
+        double victim_power = 0.0;
+        double gate_power = 0.0;
+        for (int c : background) {
+            const chip::AtmCore &bg = chip.core(c);
+            if (bg.mode() == chip::CoreMode::Gated)
+                continue;
+            const bool at_floor =
+                bg.mode() == chip::CoreMode::FixedFrequency
+                && bg.fixedFrequencyMhz()
+                       <= chip::lowestPStateMhz() + util::Mhz{1e-9};
+            const double p =
+                st.corePowerW[static_cast<std::size_t>(c)].value();
+            if (!at_floor && p > victim_power) {
+                victim_power = p;
+                victim = c;
+            }
+            if (p > gate_power) {
+                gate_power = p;
+                gate = c;
+            }
+        }
+        if (victim >= 0) {
+            chip::AtmCore &bg = chip.core(victim);
+            if (bg.mode() == chip::CoreMode::AtmOverclock) {
+                bg.setMode(chip::CoreMode::FixedFrequency);
+                bg.setFixedFrequencyMhz(chip::highestPStateMhz());
+            } else {
+                bg.setFixedFrequencyMhz(chip::pstateAtOrBelowMhz(
+                    bg.fixedFrequencyMhz() - util::Mhz{1.0}));
+            }
+        } else if (gate >= 0) {
+            chip.core(gate).setMode(chip::CoreMode::Gated);
+        } else {
+            return; // nothing left to shed
+        }
+    }
+}
+
 ScenarioResult
 AtmManager::evaluate(Scenario scenario, const ScheduleRequest &request)
 {
@@ -207,75 +271,16 @@ AtmManager::evaluate(Scenario scenario, const ScheduleRequest &request)
                                  .requiredFreqMhz(request.qosTarget);
         const double budget_w = freqPredictor_.powerBudgetW(core, f_req);
 
-        // Throttle background cores (highest power first) by one
-        // p-state at a time until the critical app meets its target;
-        // gate as the last resort. The budget tells the manager how
-        // deep the throttling will have to go; the loop verifies the
-        // outcome against the QoS goal itself.
-        for (int iter = 0; iter < 256; ++iter) {
-            const chip::ChipSteadyState st = chip_->solveSteadyState();
-            const double perf = request.critical->perfRelative(
-                st.coreFreqMhz[static_cast<std::size_t>(core)].value());
-            if (perf >= request.qosTarget - 1e-9)
-                break;
-            // Find the hungriest throttleable background core.
-            int victim = -1;
-            double victim_power = 0.0;
-            bool all_floor = true;
-            for (int c = 0; c < chip_->coreCount(); ++c) {
-                if (c == core || chip_->assignment(c).idle())
-                    continue;
-                const chip::AtmCore &bg = chip_->core(c);
-                if (bg.mode() == chip::CoreMode::Gated)
-                    continue;
-                const bool at_floor =
-                    bg.mode() == chip::CoreMode::FixedFrequency
-                    && bg.fixedFrequencyMhz()
-                           <= chip::lowestPStateMhz() + util::Mhz{1e-9};
-                if (!at_floor)
-                    all_floor = false;
-                const double p =
-                    st.corePowerW[static_cast<std::size_t>(c)].value();
-                if (!at_floor && p > victim_power) {
-                    victim_power = p;
-                    victim = c;
-                }
-            }
-            if (victim < 0) {
-                if (all_floor) {
-                    // Last resort: gate the hungriest core.
-                    int gate = -1;
-                    double gate_power = 0.0;
-                    for (int c = 0; c < chip_->coreCount(); ++c) {
-                        if (c == core || chip_->assignment(c).idle())
-                            continue;
-                        if (chip_->core(c).mode()
-                            == chip::CoreMode::Gated)
-                            continue;
-                        const double p =
-                            st.corePowerW[static_cast<std::size_t>(c)]
-                                .value();
-                        if (p > gate_power) {
-                            gate_power = p;
-                            gate = c;
-                        }
-                    }
-                    if (gate < 0)
-                        break;
-                    chip_->core(gate).setMode(chip::CoreMode::Gated);
-                    continue;
-                }
-                break;
-            }
-            chip::AtmCore &bg = chip_->core(victim);
-            if (bg.mode() == chip::CoreMode::AtmOverclock) {
-                bg.setMode(chip::CoreMode::FixedFrequency);
-                bg.setFixedFrequencyMhz(chip::highestPStateMhz());
-            } else {
-                bg.setFixedFrequencyMhz(chip::pstateAtOrBelowMhz(
-                    bg.fixedFrequencyMhz() - util::Mhz{1.0}));
-            }
-        }
+        // The budget tells the manager how deep the throttling will
+        // have to go; the loop verifies the outcome against the QoS
+        // goal itself.
+        throttleBackground(
+            *chip_, {core}, [&](const chip::ChipSteadyState &st) {
+                const double f =
+                    st.coreFreqMhz[static_cast<std::size_t>(core)].value();
+                return request.critical->perfRelative(f)
+                       >= request.qosTarget - 1e-9;
+            });
         return finish(scenario, request, core, budget_w);
       }
     }

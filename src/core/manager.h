@@ -11,6 +11,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "chip/chip.h"
@@ -61,6 +62,18 @@ struct ScenarioResult
     bool qosMet = false;
     std::vector<double> backgroundCapMhz; ///< Per-core cap; 0 = ATM max.
 };
+
+/**
+ * The managed-balanced throttle (Figs. 13-14): while qos_met rejects
+ * the chip's steady state, step the hungriest non-idle core outside
+ * protected_cores down one p-state (ATM overclock first drops to the
+ * top p-state). Cores already at the p-state floor are skipped; when
+ * every candidate is there, the hungriest is gated as the last
+ * resort. Returns once QoS is met or nothing is left to shed.
+ */
+void throttleBackground(
+    chip::Chip &chip, const std::vector<int> &protected_cores,
+    const std::function<bool(const chip::ChipSteadyState &)> &qos_met);
 
 /** Manages a fine-tuned ATM chip. */
 class AtmManager

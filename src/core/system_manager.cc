@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chip/pstate.h"
 #include "core/characterizer.h"
 #include "util/logging.h"
 
@@ -125,89 +124,27 @@ SystemManager::scheduleBatch(const std::vector<CriticalJob> &jobs,
     // step the hungriest background core on that chip down a p-state.
     for (int p = 0; p < chipCount(); ++p) {
         chip::Chip &chip = server_->chip(p);
-        for (int iter = 0; iter < 128; ++iter) {
-            const chip::ChipSteadyState st = chip.solveSteadyState();
-            bool all_met = true;
-            for (std::size_t j = 0; j < jobs.size(); ++j) {
-                const JobPlacement &placement = result.placements[j];
-                if (placement.chip != p)
-                    continue;
-                const double f =
-                    st.coreFreqMhz[static_cast<std::size_t>(
-                                       placement.core)]
-                        .value();
-                if (jobs[j].app->perfRelative(f)
-                    < jobs[j].qosTarget - 1e-9) {
-                    all_met = false;
-                }
-            }
-            if (all_met)
-                break;
-            // Throttle the hungriest non-critical core on this chip.
-            int victim = -1;
-            double victim_power = 0.0;
-            for (int c = 0; c < chip.coreCount(); ++c) {
-                bool is_critical = false;
-                for (const JobPlacement &placement : result.placements) {
-                    if (placement.chip == p && placement.core == c)
-                        is_critical = true;
-                }
-                if (is_critical || chip.assignment(c).idle())
-                    continue;
-                const chip::AtmCore &bg = chip.core(c);
-                if (bg.mode() == chip::CoreMode::Gated)
-                    continue;
-                const bool at_floor =
-                    bg.mode() == chip::CoreMode::FixedFrequency
-                    && bg.fixedFrequencyMhz()
-                           <= chip::lowestPStateMhz() + util::Mhz{1e-9};
-                if (at_floor)
-                    continue;
-                const double power =
-                    st.corePowerW[static_cast<std::size_t>(c)].value();
-                if (power > victim_power) {
-                    victim_power = power;
-                    victim = c;
-                }
-            }
-            if (victim < 0) {
-                // Everything is at the p-state floor: gate the
-                // hungriest background core as the last resort.
-                int gate = -1;
-                double gate_power = 0.0;
-                for (int c = 0; c < chip.coreCount(); ++c) {
-                    bool is_critical = false;
-                    for (const JobPlacement &placement :
-                         result.placements) {
-                        if (placement.chip == p && placement.core == c)
-                            is_critical = true;
-                    }
-                    if (is_critical || chip.assignment(c).idle())
-                        continue;
-                    if (chip.core(c).mode() == chip::CoreMode::Gated)
-                        continue;
-                    const double power =
-                        st.corePowerW[static_cast<std::size_t>(c)]
-                            .value();
-                    if (power > gate_power) {
-                        gate_power = power;
-                        gate = c;
-                    }
-                }
-                if (gate < 0)
-                    break; // nothing left to shed
-                chip.core(gate).setMode(chip::CoreMode::Gated);
-                continue;
-            }
-            chip::AtmCore &bg = chip.core(victim);
-            if (bg.mode() == chip::CoreMode::AtmOverclock) {
-                bg.setMode(chip::CoreMode::FixedFrequency);
-                bg.setFixedFrequencyMhz(chip::highestPStateMhz());
-            } else {
-                bg.setFixedFrequencyMhz(chip::pstateAtOrBelowMhz(
-                    bg.fixedFrequencyMhz() - util::Mhz{1.0}));
-            }
+        std::vector<int> critical_cores;
+        for (const JobPlacement &placement : result.placements) {
+            if (placement.chip == p)
+                critical_cores.push_back(placement.core);
         }
+        throttleBackground(
+            chip, critical_cores, [&](const chip::ChipSteadyState &st) {
+                for (std::size_t j = 0; j < jobs.size(); ++j) {
+                    const JobPlacement &placement = result.placements[j];
+                    if (placement.chip != p)
+                        continue;
+                    const double f =
+                        st.coreFreqMhz[static_cast<std::size_t>(
+                                           placement.core)]
+                            .value();
+                    if (jobs[j].app->perfRelative(f)
+                        < jobs[j].qosTarget - 1e-9)
+                        return false;
+                }
+                return true;
+            });
         result.chipStates.push_back(chip.solveSteadyState());
     }
 

@@ -166,6 +166,27 @@ TEST_F(ManagerTest, AggressivePolicyBeatsFineTunedForBenignApps)
     EXPECT_GT(p_aggr, p_fine + 0.005);
 }
 
+TEST_F(ManagerTest, BalancedGatesEveryBackgroundCoreWhenQosIsOutOfReach)
+{
+    // No throttling reaches a 2x speedup: every background core walks
+    // down to the p-state floor and is then gated, the last resort.
+    ScheduleRequest req = request("ferret", "raytrace");
+    req.qosTarget = 2.0;
+    const ScenarioResult result =
+        manager_->evaluate(Scenario::ManagedBalanced, req);
+    EXPECT_FALSE(result.qosMet);
+    for (int c = 0; c < chip_.coreCount(); ++c) {
+        if (c == result.criticalCore)
+            continue;
+        EXPECT_EQ(chip_.core(c).mode(), chip::CoreMode::Gated)
+            << "core " << c;
+        EXPECT_DOUBLE_EQ(result.backgroundCapMhz[c], -1.0);
+    }
+    EXPECT_EQ(chip_.core(result.criticalCore).mode(),
+              chip::CoreMode::AtmOverclock);
+    EXPECT_DOUBLE_EQ(result.backgroundCapMhz[result.criticalCore], 0.0);
+}
+
 TEST_F(ManagerTest, BudgetReportedForBalanced)
 {
     ScheduleRequest req = request("squeezenet", "lu_cb");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system_manager.h"
 #include "util/logging.h"
 #include "workload/catalog.h"
@@ -89,6 +91,32 @@ TEST_F(SystemManagerTest, HardJobsThrottleTheirChip)
         }
     }
     EXPECT_GT(throttled, 0);
+}
+
+TEST_F(SystemManagerTest, OutOfReachQosGatesTheBackgroundOfEveryChip)
+{
+    // Four jobs whose 2x target no throttling can meet: on each chip
+    // every background core ends gated and the critical cores keep
+    // their ATM configuration.
+    const std::vector<CriticalJob> jobs(4, job("ferret", 2.0));
+    const SystemScheduleResult result =
+        manager_.scheduleBatch(jobs, &workload::findWorkload("lu_cb"));
+    std::vector<std::vector<bool>> critical(2, std::vector<bool>(8));
+    for (const JobPlacement &placement : result.placements) {
+        EXPECT_FALSE(placement.qosMet);
+        critical[placement.chip][placement.core] = true;
+    }
+    for (int p = 0; p < 2; ++p) {
+        ASSERT_NE(std::count(critical[p].begin(), critical[p].end(), true),
+                  0)
+            << "no job landed on chip " << p;
+        for (int c = 0; c < 8; ++c) {
+            EXPECT_EQ(server_.chip(p).core(c).mode(),
+                      critical[p][c] ? chip::CoreMode::AtmOverclock
+                                     : chip::CoreMode::Gated)
+                << "P" << p << "C" << c;
+        }
+    }
 }
 
 TEST_F(SystemManagerTest, FullHouseStillPlaces)

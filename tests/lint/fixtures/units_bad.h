@@ -1,7 +1,7 @@
 /**
  * @file
  * Deliberately bad header used as a negative test for
- * tools/lint/check_units.py.  It declares interfaces in exactly the
+ * `tools/atmlint --check units`.  It declares interfaces in exactly the
  * style the dimensional-safety layer forbids: raw doubles carrying a
  * unit in the identifier instead of the strong type (here a caller
  * could pass Nanoseconds where Picoseconds are expected and nothing
