@@ -28,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -52,6 +51,7 @@
 #include "sim/run_result.h"
 #include "sim/sim_engine.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace atmsim::bench {
 
@@ -60,15 +60,13 @@ template <typename T>
 T
 parseFlagNumber(const std::string &flag, const std::string &text)
 {
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end) {
+    const std::optional<T> value = util::parseNumber<T>(text);
+    if (!value) {
         util::fatal(flag, " wants ",
                     std::is_integral_v<T> ? "an integer" : "a number",
                     ", got '", text, "'");
     }
-    return value;
+    return *value;
 }
 
 /** One row of a flag table: a name, where its value goes, and help. */

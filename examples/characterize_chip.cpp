@@ -8,12 +8,14 @@
  *   ./characterize_chip [seed]
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 
 #include "chip/chip.h"
 #include "core/characterizer.h"
 #include "core/stress_test.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "variation/chip_generator.h"
 
@@ -22,8 +24,15 @@ using namespace atmsim;
 int
 main(int argc, char **argv)
 {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2026;
+    const std::optional<std::uint64_t> parsed =
+        argc > 1 ? util::parseNumber<std::uint64_t>(argv[1]) : 2026;
+    if (argc > 2 || !parsed) {
+        std::cerr << "usage: characterize_chip [seed]\n"
+                     "  seed  non-negative chip generation seed "
+                     "(default 2026)\n";
+        return 2;
+    }
+    const std::uint64_t seed = *parsed;
     std::cout << "Manufacturing a random chip (seed " << seed
               << ") and characterizing it...\n\n";
 

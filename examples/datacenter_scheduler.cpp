@@ -9,31 +9,53 @@
  *   e.g. ./datacenter_scheduler ferret raytrace 10
  */
 
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
+#include <optional>
 
 #include "chip/chip.h"
 #include "core/characterizer.h"
 #include "core/manager.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
 
 using namespace atmsim;
 
+namespace {
+
+int
+usage()
+{
+    std::cerr << "usage: datacenter_scheduler [critical] [background] "
+                 "[qos%]\n"
+                 "  critical    catalog workload (default squeezenet)\n"
+                 "  background  catalog workload (default lu_cb)\n"
+                 "  qos%        performance target over the static "
+                 "margin, in percent (default 10)\n";
+    return 2;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     const std::string critical_name = argc > 1 ? argv[1] : "squeezenet";
     const std::string background_name = argc > 2 ? argv[2] : "lu_cb";
-    const double qos_pct = argc > 3 ? std::atof(argv[3]) : 10.0;
+    const std::optional<double> parsed =
+        argc > 3 ? util::parseNumber<double>(argv[3]) : 10.0;
+    if (argc > 4 || !parsed || !std::isfinite(*parsed))
+        return usage();
+    const double qos_pct = *parsed;
 
     if (!workload::hasWorkload(critical_name)
         || !workload::hasWorkload(background_name)) {
         std::cerr << "unknown workload; available:\n";
         for (const auto &w : workload::allWorkloads())
             std::cerr << "  " << w.name << "\n";
-        return 1;
+        return usage();
     }
 
     chip::Chip chip(variation::makeReferenceChip(0));

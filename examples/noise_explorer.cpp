@@ -9,14 +9,15 @@
  *   e.g. ./noise_explorer x264 5
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "chip/chip.h"
 #include "sim/observer.h"
 #include "sim/sim_engine.h"
 #include "util/ascii_plot.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
@@ -56,19 +57,38 @@ struct Core0Waveform : sim::EngineObserver
     std::vector<double> timeNs, timeUs, mv, freqMhz;
 };
 
+int
+usage()
+{
+    std::cerr << "usage: noise_explorer [workload] [reduction]\n"
+                 "  workload   catalog workload (default x264)\n"
+                 "  reduction  CPM delay reduction in steps, 0 up to "
+                 "core 0's preset (default 0)\n";
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    if (argc > 3)
+        return usage();
     const std::string workload_name = argc > 1 ? argv[1] : "x264";
-    const int reduction = argc > 2 ? std::atoi(argv[2]) : 0;
     if (!workload::hasWorkload(workload_name)) {
         std::cerr << "unknown workload '" << workload_name << "'\n";
-        return 1;
+        return usage();
     }
 
     chip::Chip chip(variation::makeReferenceChip(0));
+    const std::optional<int> parsed =
+        argc > 2 ? util::parseNumber<int>(argv[2]) : 0;
+    if (!parsed || *parsed < 0
+        || *parsed > chip.core(0).silicon().presetSteps) {
+        std::cerr << "bad reduction '" << argv[2] << "'\n";
+        return usage();
+    }
+    const int reduction = *parsed;
     const auto &traits = workload::findWorkload(workload_name);
     chip.assignWorkload(0, &traits);
     chip.core(0).setCpmReduction(util::CpmSteps{reduction});

@@ -10,13 +10,15 @@
  *   ./power_saver [target_mhz]
  */
 
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
+#include <optional>
 
 #include "chip/chip.h"
 #include "core/characterizer.h"
 #include "core/governor.h"
 #include "core/undervolt.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
@@ -26,7 +28,15 @@ using namespace atmsim;
 int
 main(int argc, char **argv)
 {
-    const double target = argc > 1 ? std::atof(argv[1]) : 4200.0;
+    const std::optional<double> parsed =
+        argc > 1 ? util::parseNumber<double>(argv[1]) : 4200.0;
+    if (argc > 2 || !parsed || !std::isfinite(*parsed) || *parsed <= 0.0) {
+        std::cerr << "usage: power_saver [target_mhz]\n"
+                     "  target_mhz  positive slowest-core frequency "
+                     "target (default 4200)\n";
+        return 2;
+    }
+    const double target = *parsed;
 
     chip::Chip chip(variation::makeReferenceChip(0));
     core::Characterizer characterizer(&chip);

@@ -122,8 +122,17 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
     const bool clone_chip =
         config_.mode == CharacterizerConfig::Mode::Engine;
     const bool shard_metrics = obs_.metrics != nullptr;
+    // A run the pool executes inline (one job, or nested inside a pool
+    // task) merges each shard as soon as its task returns: the same
+    // merges in the same order, with one shard alive instead of
+    // `count`. A task error is the only difference: the inline run
+    // keeps the counts of the tasks that returned.
+    const bool merge_each =
+        shard_metrics
+        && (exec::insideParallelTask()
+            || exec::resolveJobs(config_.jobs) == 1);
     std::vector<std::unique_ptr<obs::MetricsRegistry>> shards(
-        shard_metrics ? count : 0);
+        shard_metrics && !merge_each ? count : 0);
 
     std::vector<T> out(count);
     exec::parallelFor(
@@ -140,20 +149,23 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
                     chip_->silicon(), chip_->config());
                 task.chip_ = local.get();
             }
+            std::unique_ptr<obs::MetricsRegistry> shard;
             if (shard_metrics) {
-                shards[i] = std::make_unique<obs::MetricsRegistry>();
-                task.obs_.metrics = shards[i].get();
+                shard = std::make_unique<obs::MetricsRegistry>();
+                task.obs_.metrics = shard.get();
             }
             out[i] = fn(task, i);
+            if (merge_each)
+                obs_.metrics->mergeFrom(*shard);
+            else if (shard)
+                shards[i] = std::move(shard);
         },
         config_.jobs);
 
     // Merge the metric shards in task-index order; double-valued
     // sums therefore group the same way at every job count.
-    if (shard_metrics) {
-        for (const auto &shard : shards)
-            obs_.metrics->mergeFrom(*shard);
-    }
+    for (const auto &shard : shards)
+        obs_.metrics->mergeFrom(*shard);
     return out;
 }
 
@@ -170,10 +182,46 @@ Characterizer::maxSafeScan(int core, const workload::WorkloadTraits &traits,
             --k;
         return k;
     }
-    int k = start;
-    while (k < ceiling && trialSafe(core, k + 1, traits, rep))
+    return scanUp(core, traits, rep, start, ceiling);
+}
+
+int
+Characterizer::scanUp(int core, const workload::WorkloadTraits &traits,
+                      int rep, int k, int cap)
+{
+    while (k < cap && trialSafe(core, k + 1, traits, rep))
         ++k;
     return k;
+}
+
+int
+Characterizer::scanFloor(
+    int core, const std::vector<const workload::WorkloadTraits *> &marks,
+    int cap)
+{
+    const auto reps = static_cast<std::size_t>(config_.reps);
+    int lowest = cap;
+    if (config_.mode == CharacterizerConfig::Mode::Analytic) {
+        // Inline, each scan capped at the running minimum: a scan
+        // that stops there cannot change min(lowest, k).
+        for (const workload::WorkloadTraits *mark : marks) {
+            for (std::size_t rep = 0; rep < reps; ++rep) {
+                lowest = scanUp(core, *mark, static_cast<int>(rep), 0,
+                                lowest);
+            }
+        }
+        return lowest;
+    }
+    // Engine mode: the pairs are independent, so each scans to cap on
+    // its own clone and the minimum folds afterwards.
+    const std::vector<int> limits = shardedMap<int>(
+        marks.size() * reps, [&](Characterizer &task, std::size_t i) {
+            return task.scanUp(core, *marks[i / reps],
+                               static_cast<int>(i % reps), 0, cap);
+        });
+    for (int k : limits)
+        lowest = std::min(lowest, k);
+    return lowest;
 }
 
 LimitDistribution
@@ -198,37 +246,35 @@ Characterizer::idleLimit(int core)
 LimitDistribution
 Characterizer::ubenchLimit(int core, int idle_limit)
 {
-    // One task per (program, rep) cell of the uBench sweep. Rolls
-    // back from the idle limit; uBench never explores above it (the
-    // procedure only retreats under stress).
-    const auto progs = workload::ubenchPrograms();
-    const auto reps = static_cast<std::size_t>(config_.reps);
-    const std::vector<int> safe = shardedMap<int>(
-        progs.size() * reps,
-        [&](Characterizer &task, std::size_t i) {
-            const workload::WorkloadTraits &prog = *progs[i / reps];
-            const int rep = static_cast<int>(i % reps);
-            return task.maxSafeScan(core, prog, rep, idle_limit,
-                                    idle_limit);
-        });
+    // Rolls back from the idle limit; uBench never explores above it
+    // (the procedure only retreats under stress).
     LimitDistribution dist;
-    for (int s : safe)
+    for (int s : rollbackScans(core, idle_limit, workload::ubenchPrograms()))
         dist.maxSafe.add(s);
     return dist;
+}
+
+std::vector<int>
+Characterizer::rollbackScans(
+    int core, int limit,
+    const std::vector<const workload::WorkloadTraits *> &workloads)
+{
+    // One task per (workload, rep) cell.
+    const auto reps = static_cast<std::size_t>(config_.reps);
+    return shardedMap<int>(
+        workloads.size() * reps, [&](Characterizer &task, std::size_t i) {
+            return task.maxSafeScan(core, *workloads[i / reps],
+                                    static_cast<int>(i % reps), limit,
+                                    limit);
+        });
 }
 
 LimitDistribution
 Characterizer::appLimit(int core, int ubench_limit,
                         const workload::WorkloadTraits &app)
 {
-    const std::vector<int> safe = shardedMap<int>(
-        static_cast<std::size_t>(config_.reps),
-        [&](Characterizer &task, std::size_t rep) {
-            return task.maxSafeScan(core, app, static_cast<int>(rep),
-                                    ubench_limit, ubench_limit);
-        });
     LimitDistribution dist;
-    for (int s : safe)
+    for (int s : rollbackScans(core, ubench_limit, {&app}))
         dist.maxSafe.add(s);
     return dist;
 }
@@ -237,16 +283,10 @@ double
 Characterizer::meanRollback(int core, int ubench_limit,
                             const workload::WorkloadTraits &app)
 {
-    const std::vector<int> safe = shardedMap<int>(
-        static_cast<std::size_t>(config_.reps),
-        [&](Characterizer &task, std::size_t rep) {
-            return task.maxSafeScan(core, app, static_cast<int>(rep),
-                                    ubench_limit, ubench_limit);
-        });
     // Fold in rep order: the double sum groups exactly like the old
     // sequential accumulation.
     double total = 0.0;
-    for (int s : safe)
+    for (int s : rollbackScans(core, ubench_limit, {&app}))
         total += static_cast<double>(ubench_limit - s);
     return total / static_cast<double>(config_.reps);
 }
@@ -270,11 +310,19 @@ Characterizer::characterizeCore(int core)
     limits.ubench = ubench.limit();
     limits.ubenchDist = ubench.maxSafe;
 
+    // Every (app, rep) pair in one batch; each app's limit is the
+    // most conservative of its reps.
+    const auto apps = workload::profiledApps();
+    const auto reps = static_cast<std::size_t>(config_.reps);
+    const std::vector<int> safe = rollbackScans(core, limits.ubench, apps);
     int normal = limits.ubench;
     int worst = limits.ubench;
-    for (const workload::WorkloadTraits *app : workload::profiledApps()) {
-        const int app_limit =
-            appLimit(core, limits.ubench, *app).limit();
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const workload::WorkloadTraits *app = apps[a];
+        const auto first = safe.begin()
+                         + static_cast<std::ptrdiff_t>(a * reps);
+        const int app_limit = *std::min_element(
+            first, first + static_cast<std::ptrdiff_t>(reps));
         worst = std::min(worst, app_limit);
         if (app->stress == workload::StressClass::Light
             || app->stress == workload::StressClass::Medium) {

@@ -109,6 +109,21 @@ class Characterizer
     double meanRollback(int core, int ubench_limit,
                         const workload::WorkloadTraits &app);
 
+    /**
+     * Lowest upward-scan limit over every (mark, rep) pair: the
+     * minimum over the pairs of `k = 0; while (k < cap &&
+     * trialSafe(core, k + 1, mark, rep)) ++k;`.
+     *
+     * Engine mode fans the pairs out (one private chip clone each),
+     * so the result and metrics are identical at every job count.
+     * Analytic mode scans inline and caps each scan at the running
+     * minimum -- a scan stopped there cannot lower it -- because its
+     * trials cost less than a pool dispatch.
+     */
+    int scanFloor(int core,
+                  const std::vector<const workload::WorkloadTraits *> &marks,
+                  int cap);
+
     /** Full characterization of one core (one Table I column). */
     CoreLimits characterizeCore(int core);
 
@@ -132,6 +147,18 @@ class Characterizer
     /** Largest safe reduction for one repeat, scanning upward. */
     int maxSafeScan(int core, const workload::WorkloadTraits &traits,
                     int rep, int start, int ceiling);
+
+    /** Climb from a known-safe k while k + 1 is safe, up to cap. */
+    int scanUp(int core, const workload::WorkloadTraits &traits, int rep,
+               int k, int cap);
+
+    /**
+     * maxSafeScan rolling back from `limit` (never above it) for every
+     * (workload, rep) pair in one parallel batch; workload-major.
+     */
+    std::vector<int> rollbackScans(
+        int core, int limit,
+        const std::vector<const workload::WorkloadTraits *> &workloads);
 
     /**
      * Deterministic parallel map over `count` independent tasks:

@@ -56,21 +56,12 @@ StressTester::stressLimit(int core)
         workload::findWorkload("power_virus");
     const workload::WorkloadTraits &isa_suite =
         workload::findWorkload("isa_suite");
-    const int ceiling = chip_->core(core).silicon().presetSteps;
-
-    int limit = ceiling;
-    for (const workload::WorkloadTraits *mark :
-         {&virus, &power_virus, &isa_suite}) {
-        for (int rep = 0; rep < characterizer_.config().reps; ++rep) {
-            int k = 0;
-            while (k < ceiling
-                   && characterizer_.trialSafe(core, k + 1, *mark, rep)) {
-                ++k;
-            }
-            limit = std::min(limit, k);
-        }
-    }
-    return limit;
+    // The virus scans first and caps the other marks: a scan stopped
+    // at the virus limit v cannot change min(v, k), so the result
+    // equals a full scan of every mark.
+    const int v = characterizer_.scanFloor(
+        core, {&virus}, chip_->core(core).silicon().presetSteps);
+    return characterizer_.scanFloor(core, {&power_virus, &isa_suite}, v);
 }
 
 bool

@@ -124,11 +124,17 @@ struct Fold
     /**
      * Advance the decided prefix: fold buffered results and record
      * abandonments, strictly in shard-index order. THE fold -- the
-     * only place shard results enter the aggregate.
+     * only place shard results enter the aggregate. A halt stops it
+     * at exactly haltAfterShards, however results arrive; later ones
+     * stay buffered (and checkpointed) for the resume.
      */
     void advance()
     {
-        while (decided < shardCount()) {
+        const long stop = config.haltAfterShards >= 0
+                              ? std::min(config.haltAfterShards,
+                                         shardCount())
+                              : shardCount();
+        while (decided < stop) {
             const auto it = pending.find(static_cast<int>(decided));
             if (it != pending.end()) {
                 for (const core::ChipSummary &chip : it->second.chips)

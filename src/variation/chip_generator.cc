@@ -62,6 +62,12 @@ generateChip(const std::string &name, std::uint64_t seed,
         const int idle_guess = static_cast<int>(
             std::lround(removal / kMeanStepPs + rng.gaussian(0.0, 0.8)));
         targets.idle = std::clamp(idle_guess, 2, 12);
+        // buildCoreFromTargets needs >= 0.9 ps of removal per idle
+        // segment; the jitter above can overshoot that.
+        const double speed = 4950.0 / targets.idleLimitMhz;
+        targets.idle = std::min(
+            targets.idle,
+            static_cast<int>(std::floor(removal / speed / 0.9)));
 
         targets.ubench = std::max(
             1, targets.idle - sampleGap(rng, {0.60, 0.22, 0.12, 0.06}));
@@ -73,7 +79,6 @@ generateChip(const std::string &name, std::uint64_t seed,
 
         const int preset = std::max(targets.idle + 4, 7)
                          + static_cast<int>(rng.below(3));
-        const double speed = 4950.0 / targets.idleLimitMhz;
         const std::string core_name = name + "C" + std::to_string(c);
         util::Rng core_rng = rng.fork(static_cast<std::uint64_t>(c) + 101);
         chip.cores.push_back(buildCoreFromTargets(core_name, targets,

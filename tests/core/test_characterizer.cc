@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/characterizer.h"
 #include "util/logging.h"
 #include "variation/reference_chips.h"
@@ -7,6 +10,25 @@
 
 namespace atmsim::core {
 namespace {
+
+using Marks = std::vector<const workload::WorkloadTraits *>;
+
+/** Every (mark, rep) upward scan run to cap; the lowest result. */
+int
+lowestFullScan(Characterizer &characterizer, int core, const Marks &marks,
+               int cap)
+{
+    int lowest = cap;
+    for (const workload::WorkloadTraits *mark : marks) {
+        for (int rep = 0; rep < characterizer.config().reps; ++rep) {
+            int k = 0;
+            while (k < cap && characterizer.trialSafe(core, k + 1, *mark, rep))
+                ++k;
+            lowest = std::min(lowest, k);
+        }
+    }
+    return lowest;
+}
 
 class CharacterizerTest : public ::testing::Test
 {
@@ -99,6 +121,43 @@ TEST_F(CharacterizerTest, TrialSafeMonotoneInReduction)
             }
             was_safe = safe;
         }
+    }
+}
+
+TEST_F(CharacterizerTest, ScanFloorIsLowestFullScanInEitherMarkOrder)
+{
+    // The idle scan ends above the virus scan, so the analytic running
+    // cap binds in one order and not in the other.
+    const workload::WorkloadTraits *idle = &workload::idleWorkload();
+    const workload::WorkloadTraits *virus = &workload::voltageVirus();
+    for (const Marks &marks : {Marks{idle, virus}, Marks{virus, idle}}) {
+        for (int c = 0; c < chip_.coreCount(); ++c) {
+            const int cap = chip_.core(c).silicon().presetSteps;
+            EXPECT_EQ(characterizer_.scanFloor(c, marks, cap),
+                      lowestFullScan(characterizer_, c, marks, cap))
+                << chip_.core(c).name();
+        }
+    }
+}
+
+TEST(CharacterizerEngineTest, ScanFloorIsLowestFullScanAtEveryJobCount)
+{
+    CharacterizerConfig config;
+    config.mode = CharacterizerConfig::Mode::Engine;
+    config.reps = 2;
+    config.engineWindowUs = 1.0;
+    const Marks marks = {&workload::idleWorkload(),
+                         &workload::voltageVirus()};
+    chip::Chip reference_chip(variation::makeReferenceChip(0));
+    Characterizer reference(&reference_chip, config);
+    const int cap = reference_chip.core(2).silicon().presetSteps;
+    const int want = lowestFullScan(reference, 2, marks, cap);
+    for (int jobs : {1, 4}) {
+        chip::Chip chip(variation::makeReferenceChip(0));
+        config.jobs = jobs;
+        Characterizer characterizer(&chip, config);
+        EXPECT_EQ(characterizer.scanFloor(2, marks, cap), want)
+            << "jobs " << jobs;
     }
 }
 

@@ -1,11 +1,40 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/stress_test.h"
 #include "util/logging.h"
+#include "variation/chip_generator.h"
 #include "variation/reference_chips.h"
+#include "workload/catalog.h"
 
 namespace atmsim::core {
 namespace {
+
+/**
+ * Reference stress limit: every mark and repeat scanned serially from
+ * 0 up to the preset, on the shared chip.
+ */
+int
+fullScanLimit(chip::Chip &chip, const CharacterizerConfig &config,
+              int core)
+{
+    Characterizer characterizer(&chip, config);
+    const int ceiling = chip.core(core).silicon().presetSteps;
+    int limit = ceiling;
+    for (const workload::WorkloadTraits *mark :
+         {&workload::voltageVirus(), &workload::findWorkload("power_virus"),
+          &workload::findWorkload("isa_suite")}) {
+        for (int rep = 0; rep < config.reps; ++rep) {
+            int k = 0;
+            while (k < ceiling
+                   && characterizer.trialSafe(core, k + 1, *mark, rep))
+                ++k;
+            limit = std::min(limit, k);
+        }
+    }
+    return limit;
+}
 
 class StressTestTest : public ::testing::Test
 {
@@ -87,6 +116,43 @@ TEST_F(StressTestTest, StressEnvironmentMatchesPaper)
 TEST_F(StressTestTest, StressEnvironmentValidatesInput)
 {
     EXPECT_THROW(tester_.stressEnvironment({1, 2}), util::FatalError);
+}
+
+TEST(StressLimitExactness, AnalyticMatchesFullScanOnEveryCore)
+{
+    std::vector<variation::ChipSilicon> chips = {
+        variation::makeReferenceChip(0), variation::makeReferenceChip(1)};
+    for (std::uint64_t seed : {11, 12, 13, 14})
+        chips.push_back(variation::generateChip("S", seed));
+    for (const variation::ChipSilicon &silicon : chips) {
+        chip::Chip chip(silicon);
+        StressTester tester(&chip);
+        for (int c = 0; c < chip.coreCount(); ++c) {
+            EXPECT_EQ(tester.stressLimit(c), fullScanLimit(chip, {}, c))
+                << chip.core(c).name();
+        }
+    }
+}
+
+TEST(StressLimitExactness, EngineMatchesFullScanAtEveryJobCount)
+{
+    CharacterizerConfig config;
+    config.mode = CharacterizerConfig::Mode::Engine;
+    config.engineWindowUs = 1.0;
+    const variation::ChipSilicon silicon =
+        variation::generateChip("E", 5);
+    for (int c : {0, 3, 7}) {
+        chip::Chip reference_chip(silicon);
+        config.jobs = 1;
+        const int want = fullScanLimit(reference_chip, config, c);
+        for (int jobs : {1, 4}) {
+            chip::Chip chip(silicon);
+            config.jobs = jobs;
+            StressTester tester(&chip, config);
+            EXPECT_EQ(tester.stressLimit(c), want)
+                << "core " << c << " jobs " << jobs;
+        }
+    }
 }
 
 } // namespace

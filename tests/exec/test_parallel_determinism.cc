@@ -74,6 +74,45 @@ TEST(ParallelDeterminism, EngineIdleLimitIdenticalAcrossJobCounts)
     EXPECT_EQ(want.maxSafe.maxValue(), got.maxSafe.maxValue());
 }
 
+TEST(ParallelDeterminism, EngineCoreLimitsIdenticalAcrossJobCounts)
+{
+    // The whole engine-mode core procedure, whose app sweep is one
+    // batch over every (app, rep) pair.
+    CharacterizerConfig config;
+    config.mode = CharacterizerConfig::Mode::Engine;
+    config.reps = 2;
+    config.engineWindowUs = 1.0;
+
+    const auto run = [&](int jobs, obs::MetricsRegistry *metrics) {
+        chip::Chip chip(variation::makeReferenceChip(0));
+        config.jobs = jobs;
+        Characterizer characterizer(&chip, config);
+        characterizer.setObservability({metrics, nullptr});
+        return characterizer.characterizeCore(2);
+    };
+    obs::MetricsRegistry serial_metrics;
+    const CoreLimits want = run(1, &serial_metrics);
+    for (int jobs : {2, 4}) {
+        obs::MetricsRegistry metrics;
+        const CoreLimits got = run(jobs, &metrics);
+        EXPECT_EQ(want.coreName, got.coreName) << "jobs " << jobs;
+        EXPECT_EQ(want.idle, got.idle) << "jobs " << jobs;
+        EXPECT_EQ(want.ubench, got.ubench) << "jobs " << jobs;
+        EXPECT_EQ(want.normal, got.normal) << "jobs " << jobs;
+        EXPECT_EQ(want.worst, got.worst) << "jobs " << jobs;
+        EXPECT_EQ(want.idleDist.items(), got.idleDist.items())
+            << "jobs " << jobs;
+        EXPECT_EQ(want.ubenchDist.items(), got.ubenchDist.items())
+            << "jobs " << jobs;
+        EXPECT_EQ(want.idleLimitFreqMhz, got.idleLimitFreqMhz)
+            << "jobs " << jobs;
+        EXPECT_EQ(want.worstLimitFreqMhz, got.worstLimitFreqMhz)
+            << "jobs " << jobs;
+        EXPECT_TRUE(serial_metrics.snapshot() == metrics.snapshot())
+            << "jobs " << jobs;
+    }
+}
+
 TEST(ParallelDeterminism, MetricSnapshotsAgreeAfterShardMerge)
 {
     obs::MetricsRegistry serial_metrics;

@@ -207,6 +207,8 @@ TEST(Supervisor, ForkedHaltAndResumeIsBitwiseExact)
     halted.haltAfterShards = 1;
     const FleetResult partial = runFleetCampaign(halted);
     EXPECT_TRUE(partial.halted);
+    // Exactly at the cut, even when later shards report first.
+    EXPECT_EQ(partial.coverage.shardsCompleted, 1);
 
     FleetConfig resumed = smallCampaign();
     resumed.workers = 2;
