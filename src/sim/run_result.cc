@@ -1,5 +1,7 @@
 #include "sim/run_result.h"
 
+#include <sstream>
+
 #include "util/logging.h"
 
 namespace atmsim::sim {
@@ -72,6 +74,36 @@ RunResult::meanFreqMhz(int core) const
     if (core < 0 || core >= static_cast<int>(coreStats.size()))
         util::fatal("meanFreqMhz: core ", core, " out of range");
     return coreStats[static_cast<std::size_t>(core)].freqMhz.mean();
+}
+
+std::uint64_t
+digest(const RunResult &result)
+{
+    std::ostringstream os;
+    os << std::hexfloat;
+    os << result.durationNs << '|' << result.steps << '|'
+       << result.stoppedEarly << '|' << result.maxCoreTempC << '|'
+       << result.minGridV << '|' << result.chipPowerW.count() << ' '
+       << result.chipPowerW.mean() << ' ' << result.chipPowerW.m2();
+    for (const CoreRunStats &cs : result.coreStats) {
+        os << '|' << cs.freqMhz.count() << ' ' << cs.freqMhz.mean()
+           << ' ' << cs.freqMhz.m2() << ' ' << cs.voltageV.mean()
+           << ' ' << cs.voltageV.m2() << ' ' << cs.minVoltageV << ' '
+           << cs.emergencies << ' ' << cs.violations;
+    }
+    for (const ViolationEvent &ev : result.violations) {
+        os << '|' << ev.timeNs << ' ' << ev.core << ' ' << ev.deficitPs
+           << ' ' << static_cast<int>(ev.kind) << ' ' << ev.detected;
+    }
+    for (const auto &[name, value] : result.safety.named())
+        os << '|' << name << '=' << value;
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL; // FNV-1a offset basis
+    for (const char ch : os.str()) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL; // FNV-1a prime
+    }
+    return hash;
 }
 
 } // namespace atmsim::sim
