@@ -358,11 +358,11 @@ class BenchSession
             {"--engine-mode", "<m>",
              [this](const std::string &text) {
                  if (!sim::engineModeFromName(text, engineMode_))
-                     util::fatal("--engine-mode wants legacy, soa, or "
-                                 "sampled, got '", text, "'");
+                     util::fatal("--engine-mode wants soa or sampled, "
+                                 "got '", text, "'");
              },
-             "engine step loop: soa (default), legacy (identity "
-             "reference) or sampled (approximate fast-forward)"},
+             "engine step loop: soa (default, exact) or sampled "
+             "(approximate fast-forward)"},
         };
     }
 

@@ -48,11 +48,23 @@ BENCHMARK(BM_PdnStep);
 void
 BM_CpmBankWorstCount(benchmark::State &state)
 {
+    // The engine's per-core CPM scan: one delay-factor evaluation,
+    // then cpm::worstCountSoa over the bank's exported site arrays.
     chip::Chip &chip = referenceChip();
     const auto &bank = chip.core(0).cpmBank();
+    std::vector<double> nominal(bank.siteCount());
+    std::vector<int> stuck(bank.siteCount());
+    bank.exportSoa(nominal.data(), stuck.data());
+    const double speed = bank.core().speedFactor;
+    const double step_ps = bank.site(0).chain().stepPs().value();
+    const int length = bank.site(0).chain().length();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(bank.worstCount(util::Picoseconds{217.4}, util::Volts{1.24},
-                                 util::Celsius{48.0}));
+        const double f = chip.delayModel().factor(util::Volts{1.24},
+                                                  util::Celsius{48.0});
+        benchmark::DoNotOptimize(cpm::worstCountSoa(
+            nominal.data(), stuck.data(),
+            static_cast<int>(nominal.size()), 217.4, f,
+            step_ps * (f * speed), length));
     }
 }
 BENCHMARK(BM_CpmBankWorstCount);
@@ -60,13 +72,14 @@ BENCHMARK(BM_CpmBankWorstCount);
 void
 BM_DpllObserve(benchmark::State &state)
 {
-    dpll::Dpll loop;
-    loop.reset(util::Picoseconds{217.4});
-    util::Nanoseconds now{0.0};
+    dpll::DpllBankSoa loop;
+    loop.resize(1, dpll::DpllParams{});
+    loop.periodPs[0] = 217.4;
+    double now = 0.0;
     for (auto _ : state) {
-        loop.observe(now, 4);
-        now += util::Nanoseconds{0.2};
-        benchmark::DoNotOptimize(loop.periodPs());
+        loop.observe(0, now, 4);
+        now += 0.2;
+        benchmark::DoNotOptimize(loop.periodPs[0]);
     }
 }
 BENCHMARK(BM_DpllObserve);
@@ -87,47 +100,6 @@ BM_EngineStep(benchmark::State &state)
     chip.clearAssignments();
 }
 BENCHMARK(BM_EngineStep)->Unit(benchmark::kMicrosecond);
-
-void
-BM_EngineStepLegacy(benchmark::State &state)
-{
-    chip::Chip &chip = referenceChip();
-    chip.clearAssignments();
-    const auto &gcc = workload::findWorkload("gcc");
-    chip.assignWorkload(0, &gcc);
-    // The pre-SoA object-per-core loop; the BM_EngineStep /
-    // BM_EngineStepLegacy pair measures the SoA kernel win on
-    // bitwise-identical work.
-    sim::SimConfig config;
-    config.mode = sim::EngineMode::Legacy;
-    for (auto _ : state) {
-        sim::SimEngine engine(&chip, config);
-        benchmark::DoNotOptimize(engine.run(0.1).durationNs);
-    }
-    state.SetItemsProcessed(state.iterations() * 500); // steps per run
-    chip.clearAssignments();
-}
-BENCHMARK(BM_EngineStepLegacy)->Unit(benchmark::kMicrosecond);
-
-void
-BM_EngineStepSoA(benchmark::State &state)
-{
-    chip::Chip &chip = referenceChip();
-    chip.clearAssignments();
-    const auto &gcc = workload::findWorkload("gcc");
-    chip.assignWorkload(0, &gcc);
-    // Explicitly-SoA run (BM_EngineStep inherits the default mode, so
-    // this one stays meaningful if the default ever moves).
-    sim::SimConfig config;
-    config.mode = sim::EngineMode::Soa;
-    for (auto _ : state) {
-        sim::SimEngine engine(&chip, config);
-        benchmark::DoNotOptimize(engine.run(0.1).durationNs);
-    }
-    state.SetItemsProcessed(state.iterations() * 500); // steps per run
-    chip.clearAssignments();
-}
-BENCHMARK(BM_EngineStepSoA)->Unit(benchmark::kMicrosecond);
 
 void
 BM_EngineStepSampled(benchmark::State &state)

@@ -1,7 +1,5 @@
 #include "chip/atm_core.h"
 
-#include <algorithm>
-
 #include "circuit/constants.h"
 #include "util/logging.h"
 
@@ -57,56 +55,6 @@ AtmCore::resetClock(Volts v, Celsius t)
     vSlow_ = v;
     vSlowValid_ = true;
     lastWorstCount_ = -1;
-}
-
-// atmlint: contract(engine_step)
-void
-AtmCore::stepControl(Nanoseconds now, Volts v, Celsius t)
-{
-    // Track the slow (post-transient) local voltage; the gap between
-    // it and the instantaneous voltage is the droop excursion.
-    if (!vSlowValid_) {
-        vSlow_ = v;
-        vSlowValid_ = true;
-    } else {
-        // ~150 ns time constant at 0.2 ns steps.
-        vSlow_ += (v - vSlow_) * kVSlowTrackingAlpha;
-    }
-
-    if (mode_ != CoreMode::AtmOverclock)
-        return;
-    const int margin = bank_.worstCount(dpll_.periodPs(), v, t);
-    lastWorstCount_ = margin;
-    dpll_.observe(now, margin);
-}
-
-// atmlint: contract(engine_step)
-bool
-AtmCore::timingMet(Volts v, Celsius t, Picoseconds extra_path,
-                   Picoseconds noise) const
-{
-    if (mode_ == CoreMode::Gated)
-        return true;
-    return timingDeficitPs(v, t, extra_path, noise) <= Picoseconds{0.0};
-}
-
-Picoseconds
-AtmCore::timingDeficitPs(Volts v, Celsius t, Picoseconds extra_path,
-                         Picoseconds noise) const
-{
-    // The real paths see the droop excursion amplified by the core's
-    // local vulnerability (local grid and response effects the shared
-    // node does not capture).
-    Volts v_eff = v;
-    if (vSlowValid_) {
-        v_eff = vSlow_ - (vSlow_ - v) * silicon_->didtVulnerability;
-        v_eff = std::max(v_eff, Volts{0.6});
-    }
-    const Picoseconds real =
-        (Picoseconds{silicon_->realPathIdlePs} + extra_path)
-            * (silicon_->speedFactor * model_->factor(v_eff, t))
-        + noise;
-    return real - periodPs();
 }
 
 ControlState

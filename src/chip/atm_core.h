@@ -33,10 +33,10 @@ enum class CoreMode {
 const char *coreModeName(CoreMode mode);
 
 /**
- * EWMA coefficient of the slow-tracked local voltage reference the
- * timing model measures droop excursions against. Shared between
- * AtmCore::stepControl and the engine's SoA control kernel, which
- * must replicate the tracking arithmetic bit for bit.
+ * EWMA coefficient (~150 ns time constant at 0.2 ns steps) of the
+ * slow-tracked local voltage reference the timing model measures
+ * droop excursions against; the engine's control kernel
+ * (EngineSoaState::controlStepAll) applies it every step.
  */
 inline constexpr double kVSlowTrackingAlpha = 0.0015;
 
@@ -94,42 +94,6 @@ class AtmCore
      */
     void resetClock(Volts v, Celsius t);
 
-    /**
-     * Advance the control loop: sample the CPM bank against the
-     * current period and let the DPLL adjust.
-     *
-     * @param now Simulation time.
-     * @param v Local supply voltage.
-     * @param t Local temperature.
-     */
-    void stepControl(Nanoseconds now, Volts v, Celsius t);
-
-    /**
-     * Check whether the real critical path meets timing this instant.
-     *
-     * The transient part of the voltage excursion (relative to the
-     * slow-tracked local voltage) is amplified by the core's di/dt
-     * vulnerability: vulnerable cores' real paths see deeper local
-     * droops than the shared grid reports, which is what their larger
-     * characterization rollbacks reflect.
-     *
-     * @param v Local supply voltage.
-     * @param t Local temperature.
-     * @param extra_path Scenario path exposure (nominal).
-     * @param noise This run's timing noise.
-     * @return true when timing is met (no violation).
-     */
-    bool timingMet(Volts v, Celsius t, Picoseconds extra_path,
-                   Picoseconds noise) const;
-
-    /**
-     * Signed timing deficit: how far the real path misses the current
-     * period under the same model timingMet() uses. Positive means a
-     * violation.
-     */
-    Picoseconds timingDeficitPs(Volts v, Celsius t, Picoseconds extra_path,
-                                Picoseconds noise) const;
-
     /** Current clock period. */
     Picoseconds periodPs() const;
 
@@ -138,14 +102,6 @@ class AtmCore
 
     /** Emergency engagements since the last resetClock(). */
     long emergencyCount() const { return dpll_.emergencyCount(); }
-
-    /**
-     * Worst CPM count seen by the last stepControl() in ATM mode (the
-     * margin the DPLL acted on); -1 before the first control step.
-     * Sampled by the engine's metric histograms without re-reading
-     * the bank.
-     */
-    int lastWorstCount() const { return lastWorstCount_; }
 
     /** Export the control tracking state (SoA mirror handshake). */
     [[nodiscard]] ControlState exportControlState() const;
@@ -183,7 +139,8 @@ class AtmCore
     Volts vSlow_{0.0};
     bool vSlowValid_ = false;
 
-    /** Margin the DPLL last acted on (metrics sampling). */
+    /** Margin the DPLL last acted on (metrics sampling); -1 before
+     *  the first control step. */
     int lastWorstCount_ = -1;
 };
 

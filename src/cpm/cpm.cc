@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "circuit/constants.h"
-#include "util/hotpath_annotations.h"
 #include "util/logging.h"
 
 namespace atmsim::cpm {
@@ -100,18 +99,11 @@ Cpm::slackPs(Picoseconds period, Volts v, Celsius t) const
 int
 Cpm::outputCount(Picoseconds period, Volts v, Celsius t) const
 {
-    return outputCount(period, model_->factor(v, t));
-}
-
-ATM_HOT_PATH(engine_step)
-int
-Cpm::outputCount(Picoseconds period, double delay_factor) const
-{
     if (stuckActive_)
         return stuckCount_;
-    const double factor = delay_factor * core_->speedFactor;
+    const double delay_factor = model_->factor(v, t);
     return chain_.quantize(period - monitoredDelayPs(delay_factor),
-                           factor);
+                           delay_factor * core_->speedFactor);
 }
 
 void

@@ -69,8 +69,7 @@ class Cpm
      * Same, given the precomputed voltage/temperature delay factor
      * (DelayModel::factor(v, t)). The factor is identical for every
      * site of a core at a given (v, t), so the bank evaluates it
-     * once per scan instead of twice per site -- the hottest
-     * per-step computation in the engine's ATM phase.
+     * once per scan instead of once per site.
      */
     Picoseconds monitoredDelayPs(double delay_factor) const;
 
@@ -82,9 +81,6 @@ class Cpm
      * quantizes the slack.
      */
     int outputCount(Picoseconds period, Volts v, Celsius t) const;
-
-    /** Same, given the precomputed delay factor (see above). */
-    int outputCount(Picoseconds period, double delay_factor) const;
 
     /** The quantizing chain (for unit conversion). */
     const circuit::InverterChain &chain() const { return chain_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "circuit/constants.h"
-#include "util/hotpath_annotations.h"
 #include "util/logging.h"
 
 namespace atmsim::cpm {
@@ -37,20 +36,6 @@ CpmBank::setReduction(CpmSteps steps)
         site.setConfigSteps(CpmSteps{cfg});
     }
     reduction_ = steps;
-}
-
-ATM_HOT_PATH(engine_step)
-int
-CpmBank::worstCount(Picoseconds period, Volts v, Celsius t) const
-{
-    // One factor(v, t) evaluation for the whole scan: the model's
-    // pow() dominated the engine's ATM phase when every site
-    // re-derived it (twice) per step.
-    const double f = model_->factor(v, t);
-    int worst = sites_.front().outputCount(period, f);
-    for (std::size_t s = 1; s < sites_.size(); ++s)
-        worst = std::min(worst, sites_[s].outputCount(period, f));
-    return worst;
 }
 
 Picoseconds

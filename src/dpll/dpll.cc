@@ -34,49 +34,6 @@ Dpll::setSensorDropout(bool active)
     dropout_ = active;
 }
 
-void
-Dpll::observe(Nanoseconds now, int margin_counts)
-{
-    if (dropout_) {
-        // The sensor input is gone; the loop keeps acting on the last
-        // healthy reading and is blind to anything happening now.
-        if (!heldValid_)
-            return;
-        margin_counts = heldMargin_;
-    } else {
-        heldMargin_ = margin_counts;
-        heldValid_ = true;
-    }
-    // Emergency fast path: immediate stretch, rate limited.
-    if (margin_counts <= params_.emergencyCounts) {
-        if (now - lastEmergency_ >= params_.emergencyHoldoff) {
-            period_ *= 1.0 + params_.emergencyStretchFrac;
-            lastEmergency_ = now;
-            ++emergencies_;
-            clampPeriod();
-        }
-        // An emergency restarts the proportional interval so the slow
-        // path does not immediately undo the stretch.
-        lastUpdate_ = now;
-        return;
-    }
-
-    if (now - lastUpdate_ < params_.updateInterval)
-        return;
-    lastUpdate_ = now;
-
-    const int error = margin_counts - params_.targetCounts;
-    if (error < 0) {
-        period_ *= 1.0 + params_.slewDownPerCount * (-error);
-        ++slewDowns_;
-    } else if (error > 0) {
-        const int step = std::min(error, params_.slewUpCapCounts);
-        period_ *= 1.0 - params_.slewUpPerCount * step;
-        ++slewUps_;
-    }
-    clampPeriod();
-}
-
 DpllState
 Dpll::exportState() const
 {
@@ -168,12 +125,6 @@ Mhz
 Dpll::frequencyMhz() const
 {
     return util::frequencyOf(period_);
-}
-
-bool
-Dpll::inEmergency(Nanoseconds now) const
-{
-    return now - lastEmergency_ < params_.emergencyHoldoff;
 }
 
 void

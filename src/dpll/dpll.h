@@ -76,7 +76,13 @@ struct DpllState
     bool dropout = false;
 };
 
-/** Slew-limited adaptive clock generator. */
+/**
+ * One core's slew-limited adaptive clock generator: its parameters,
+ * period and loop state. The control law that advances the state is
+ * DpllBankSoa::observe(), which the engine runs over all cores; the
+ * engine round-trips each loop's state through exportState() and
+ * importState().
+ */
 class Dpll
 {
   public:
@@ -85,24 +91,11 @@ class Dpll
     /** Reset to a starting period and clear loop state. */
     void reset(Picoseconds period);
 
-    /**
-     * Feed one margin observation. The proportional path acts only at
-     * update-interval boundaries; the emergency path acts immediately
-     * (subject to a holdoff).
-     *
-     * @param now Current simulation time.
-     * @param margin_counts Worst CPM count this cycle.
-     */
-    void observe(Nanoseconds now, int margin_counts);
-
     /** Current clock period. */
     Picoseconds periodPs() const { return period_; }
 
     /** Current clock frequency. */
     Mhz frequencyMhz() const;
-
-    /** True if the emergency path fired within the last holdoff. */
-    bool inEmergency(Nanoseconds now) const;
 
     /** Number of emergency engagements since reset. */
     long emergencyCount() const { return emergencies_; }
@@ -154,9 +147,7 @@ class Dpll
  * engine's SoA step path (DESIGN.md, engine architecture). All cores
  * of a chip share one DpllParams (chip::ChipConfig::dpllParams), so
  * the parameters live here once and the per-loop state is contiguous
- * arrays. observe() replicates Dpll::observe() operation for
- * operation -- the SoA engine mode is gated on bitwise identity with
- * the per-object path.
+ * arrays. observe() is the one implementation of the control law.
  *
  * `adjustments` counts every period modification (slew or emergency
  * stretch); the steady-state detector reads it to decide whether the
@@ -198,13 +189,21 @@ struct DpllBankSoa
     void store(std::size_t core, Dpll &loop) const;
 
     /**
-     * Array-form Dpll::observe(): identical control flow and
-     * arithmetic, indexed into the SoA arrays.
+     * Feed one core's margin observation. The proportional path acts
+     * only at update-interval boundaries; the emergency path acts
+     * immediately (subject to a holdoff).
+     *
+     * @param core Core index.
+     * @param nowNs Current simulation time (ns).
+     * @param marginCounts Worst CPM count this cycle.
      */
     ATM_HOT_PATH(engine_step)
     void observe(std::size_t core, double nowNs, int marginCounts) noexcept
     {
         if (dropout[core]) {
+            // The sensor input is gone; the loop keeps acting on the
+            // last healthy reading and is blind to anything happening
+            // now.
             if (!heldValid[core])
                 return;
             marginCounts = heldMargin[core];
@@ -212,6 +211,7 @@ struct DpllBankSoa
             heldMargin[core] = marginCounts;
             heldValid[core] = 1;
         }
+        // Emergency fast path: immediate stretch, rate limited.
         if (marginCounts <= emergencyCounts) {
             if (nowNs - lastEmergencyNs[core] >= emergencyHoldoffNs) {
                 periodPs[core] *= 1.0 + emergencyStretchFrac;
@@ -220,6 +220,8 @@ struct DpllBankSoa
                 clampPeriod(core);
                 ++adjustments;
             }
+            // An emergency restarts the proportional interval so the
+            // slow path does not immediately undo the stretch.
             lastUpdateNs[core] = nowNs;
             return;
         }

@@ -1,10 +1,13 @@
 #include "fault/fault_spec.h"
 
 #include <array>
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace atmsim::fault {
 
@@ -14,6 +17,19 @@ constexpr std::array<const char *, kFaultKindCount> kKindNames = {
     "cpm-stuck", "cpm-skip", "dropout", "vrm-step",
     "droop-storm", "aging-jump", "thermal",
 };
+
+/** All of `value` as a T, or a fatal error naming the field. */
+template <typename T>
+T
+fieldNumber(const std::string &key, const std::string &value,
+            const std::string &text)
+{
+    const std::optional<T> parsed = util::parseNumber<T>(value);
+    if (!parsed)
+        util::fatal("malformed value '", value, "' for fault field '",
+                    key, "' in '", text, "'");
+    return *parsed;
+}
 
 } // namespace
 
@@ -47,11 +63,14 @@ FaultSpec::endNs() const
 void
 FaultSpec::validate(int core_count) const
 {
-    if (startUs < 0.0)
-        util::fatal("fault start must be non-negative, got ", startUs);
-    if (durationUs < 0.0)
-        util::fatal("fault duration must be non-negative, got ",
-                    durationUs);
+    if (!std::isfinite(startUs) || startUs < 0.0)
+        util::fatal("fault start must be finite and non-negative, got ",
+                    startUs);
+    if (!std::isfinite(durationUs) || durationUs < 0.0)
+        util::fatal("fault duration must be finite and non-negative, "
+                    "got ", durationUs);
+    if (!std::isfinite(magnitude))
+        util::fatal("fault magnitude must be finite, got ", magnitude);
     const bool chip_wide = kind == FaultKind::VrmLoadStep;
     if (chip_wide) {
         if (core != -1)
@@ -124,27 +143,19 @@ FaultSpec::parse(const std::string &text)
                         text, "'");
         const std::string key = field.substr(0, eq);
         const std::string value = field.substr(eq + 1);
-        try {
-            if (key == "core")
-                spec.core = std::stoi(value);
-            else if (key == "site")
-                spec.site = std::stoi(value);
-            else if (key == "start")
-                spec.startUs = std::stod(value);
-            else if (key == "dur")
-                spec.durationUs = std::stod(value);
-            else if (key == "mag")
-                spec.magnitude = std::stod(value);
-            else
-                util::fatal("unknown fault field '", key, "' in '",
-                            text, "'");
-        } catch (const std::invalid_argument &) {
-            util::fatal("non-numeric value '", value, "' for fault "
-                        "field '", key, "'");
-        } catch (const std::out_of_range &) {
-            util::fatal("out-of-range value '", value, "' for fault "
-                        "field '", key, "'");
-        }
+        if (key == "core")
+            spec.core = fieldNumber<int>(key, value, text);
+        else if (key == "site")
+            spec.site = fieldNumber<int>(key, value, text);
+        else if (key == "start")
+            spec.startUs = fieldNumber<double>(key, value, text);
+        else if (key == "dur")
+            spec.durationUs = fieldNumber<double>(key, value, text);
+        else if (key == "mag")
+            spec.magnitude = fieldNumber<double>(key, value, text);
+        else
+            util::fatal("unknown fault field '", key, "' in '", text,
+                        "'");
     }
     return spec;
 }

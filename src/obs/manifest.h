@@ -143,7 +143,7 @@ struct RunManifest
     double engineWallSeconds = 0.0; ///< Wall time inside run().
     double engineSimNs = 0.0; ///< Total simulated time (ns).
 
-    /** Engine execution mode ("legacy", "soa", "sampled"). */
+    /** Engine execution mode ("soa", "sampled"). */
     std::string engineMode = "soa";
 
     /** Steps covered by sampled-mode fast-forward (subset of

@@ -10,14 +10,14 @@
  * counterpart of the closed-form analytic model; the two agree on
  * characterization limits to within one CPM step.
  *
- * The step loop exists in three modes (SimConfig::mode; DESIGN.md,
- * engine architecture): Legacy walks the per-core objects exactly as
- * the original engine did; Soa runs the same arithmetic as
- * structure-of-arrays kernels over sim/soa_state.h (bitwise-identical
- * results, measurably faster); Sampled adds a steady-state detector
- * that fast-forwards through quiet stretches and re-enters cycle
- * stepping around di/dt events, fault edges, and governor actions
- * (approximate -- see EXPERIMENTS.md for the validity envelope).
+ * The step loop runs structure-of-arrays kernels over
+ * sim/soa_state.h in two modes (SimConfig::mode; DESIGN.md, engine
+ * architecture): Soa cycle-steps every step and is held bit for bit
+ * to the golden identity digests (sim::digest); Sampled adds a
+ * steady-state detector that fast-forwards through quiet stretches
+ * and re-enters cycle stepping around di/dt events, fault edges, and
+ * governor actions (approximate -- see EXPERIMENTS.md for the
+ * validity envelope).
  *
  * Observability: attach an obs::Observability bundle to record
  * engine metrics (violation counters, sampled voltage/frequency
@@ -46,12 +46,11 @@ namespace atmsim::sim {
 
 /** Step-loop implementation (see file header). */
 enum class EngineMode {
-    Legacy,  ///< Original object-per-core stepping (identity reference).
-    Soa,     ///< SoA kernels; bitwise-identical to Legacy.
-    Sampled, ///< SoA + steady-state fast-forward (approximate).
+    Soa,     ///< Exact cycle stepping; matches the golden digests.
+    Sampled, ///< Soa + steady-state fast-forward (approximate).
 };
 
-/** Printable mode name ("legacy", "soa", "sampled"). */
+/** Printable mode name ("soa", "sampled"). */
 [[nodiscard]] const char *engineModeName(EngineMode mode);
 
 /** Parse a mode name written by engineModeName(). Returns false
@@ -161,19 +160,13 @@ class SimEngine
     [[nodiscard]] const SimConfig &config() const { return config_; }
 
   private:
-    /** Per-run scratch state shared by the step-loop variants;
-     *  defined in sim_engine.cc. */
+    /** Per-run scratch state of the step loop; defined in
+     *  sim_engine.cc. */
     struct RunScratch;
 
-    /** Loop-invariant references threaded through the SoA step path;
+    /** Loop-invariant references threaded through the step path;
      *  defined in sim_engine.cc. */
     struct SoaCtx;
-
-    /** The pre-PR object-per-core step loop (identity reference). */
-    RunResult runLegacy(double duration_us);
-
-    /** The SoA-kernel step loop; handles Sampled mode internally. */
-    RunResult runSoa(double duration_us);
 
     /** Per-run setup: activity generators, DC settle, clock resets,
      *  campaign arming, result sizing, observer onRunStart. */
@@ -189,6 +182,14 @@ class SimEngine
 
     /** Observer finish fan-out + violation-store trim. */
     void finishRun(RunScratch &scratch, RunResult &result);
+
+    /** Slow-cadence phase: per-core power and current refresh plus
+     *  one thermal step. */
+    void refreshPowerThermal(SoaCtx &ctx, double now_ns);
+
+    /** Stats-cadence phase: fold the sample frame into the run
+     *  statistics, metrics and flight recorder. */
+    void foldStats(SoaCtx &ctx, double now_ns);
 
     /** Sampled-mode fast-forward from from_step toward to_step;
      *  returns the first step not covered (where cycle stepping

@@ -15,9 +15,9 @@
  * state, slow-voltage tracking, last margin) is authoritative in
  * these arrays between sync points and flows back via storeDynamic()
  * before any code that reads the objects (fault injection, observer
- * callbacks). The SoA mode is gated on bitwise identity with the
- * per-object path, so every kernel replicates the object arithmetic
- * operation for operation.
+ * callbacks). The kernels are the only implementation of the per-step
+ * control law and timing race; the engine's golden identity digests
+ * (sim::digest) pin their arithmetic bit for bit.
  *
  * The layout static_asserts below pin the util/quantity.h property
  * the views rely on: a strong type is exactly one double, so
@@ -129,8 +129,11 @@ class EngineSoaState
     // --- Hot kernels ----------------------------------------------------
 
     /**
-     * Array-form AtmCore::stepControl over all cores: slow-voltage
-     * tracking, CPM bank scan, DPLL observe.
+     * Advance every core's ATM control loop one step: track the slow
+     * (post-transient) local voltage -- the gap between it and the
+     * instantaneous voltage is the droop excursion -- and, on ATM
+     * cores, scan the CPM bank against the current period and let the
+     * DPLL act on the worst count.
      */
     ATM_HOT_PATH(engine_step)
     void controlStepAll(double nowNs) noexcept
@@ -159,8 +162,15 @@ class EngineSoaState
         }
     }
 
-    /** Array-form AtmCore::timingDeficitPs (positive = violation).
-     *  The caller handles Gated cores (always meet timing). */
+    /**
+     * Signed timing deficit of the real critical path against the
+     * current period (positive = violation). The transient part of
+     * the voltage excursion (relative to the slow-tracked voltage) is
+     * amplified by the core's di/dt vulnerability: vulnerable cores'
+     * real paths see deeper local droops than the shared grid
+     * reports, which is what their larger characterization rollbacks
+     * reflect. The caller handles Gated cores (always meet timing).
+     */
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] double timingDeficitPs(std::size_t core) const noexcept
     {
@@ -179,7 +189,7 @@ class EngineSoaState
         return real - periodPs(core);
     }
 
-    /** Array-form AtmCore::periodPs. */
+    /** Current clock period (AtmCore::periodPs over the arrays). */
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] double periodPs(std::size_t core) const noexcept
     {

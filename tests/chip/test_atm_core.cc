@@ -14,8 +14,6 @@ namespace {
 using util::Celsius;
 using util::CpmSteps;
 using util::Mhz;
-using util::Nanoseconds;
-using util::Picoseconds;
 using util::Volts;
 
 class AtmCoreTest : public ::testing::Test
@@ -79,58 +77,6 @@ TEST_F(AtmCoreTest, GatedModeReportsZeroSteady)
 {
     core_->setMode(CoreMode::Gated);
     EXPECT_DOUBLE_EQ(steadyMhz(1.25, 45.0), 0.0);
-    EXPECT_TRUE(core_->timingMet(Volts{1.0}, Celsius{45.0},
-                                 Picoseconds{100.0}, Picoseconds{100.0}));
-}
-
-TEST_F(AtmCoreTest, ControlLoopTracksSteadyState)
-{
-    core_->setCpmReduction(CpmSteps{5});
-    core_->resetClock(Volts{1.25}, Celsius{45.0});
-    double now = 0.0;
-    for (int i = 0; i < 5000; ++i) {
-        core_->stepControl(Nanoseconds{now}, Volts{1.25}, Celsius{45.0});
-        now += 0.2;
-    }
-    // The engine loop holds slack in [target, target+1) inverters, so
-    // it sits slightly below the analytic steady state.
-    const double analytic = steadyMhz(1.25, 45.0);
-    EXPECT_NEAR(core_->frequencyMhz().value(), analytic, 40.0);
-    EXPECT_LE(core_->frequencyMhz().value(), analytic + 1.0);
-}
-
-TEST_F(AtmCoreTest, ControlLoopAdaptsToVoltageDrop)
-{
-    core_->setCpmReduction(CpmSteps{5});
-    core_->resetClock(Volts{1.25}, Celsius{45.0});
-    double now = 0.0;
-    for (int i = 0; i < 2000; ++i) {
-        core_->stepControl(Nanoseconds{now}, Volts{1.25}, Celsius{45.0});
-        now += 0.2;
-    }
-    const double before = core_->frequencyMhz().value();
-    for (int i = 0; i < 10000; ++i) {
-        core_->stepControl(Nanoseconds{now}, Volts{1.20}, Celsius{45.0});
-        now += 0.2;
-    }
-    const double after = core_->frequencyMhz().value();
-    EXPECT_LT(after, before - 50.0);
-}
-
-TEST_F(AtmCoreTest, TimingMetAtSafeConfig)
-{
-    core_->setCpmReduction(CpmSteps{8}); // the idle limit
-    core_->resetClock(Volts{1.25}, Celsius{45.0});
-    EXPECT_TRUE(core_->timingMet(Volts{1.25}, Celsius{45.0},
-                                 Picoseconds{0.0}, Picoseconds{0.5}));
-}
-
-TEST_F(AtmCoreTest, TimingViolatedBeyondLimit)
-{
-    core_->setCpmReduction(CpmSteps{10}); // two past the idle limit
-    core_->resetClock(Volts{1.25}, Celsius{45.0});
-    EXPECT_FALSE(core_->timingMet(Volts{1.25}, Celsius{45.0},
-                                  Picoseconds{0.0}, Picoseconds{1.2}));
 }
 
 TEST_F(AtmCoreTest, Validation)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "circuit/constants.h"
 #include "cpm/cpm_bank.h"
@@ -32,6 +34,23 @@ class CpmBankTest : public ::testing::Test
                                                 rng);
         model_ = std::make_unique<circuit::DelayModel>(
             circuit::DelayModel::makeDefault());
+    }
+
+    /** The engine's scan of `bank`: cpm::worstCountSoa over the
+     *  bank's exported site arrays. */
+    int worstCount(const CpmBank &bank, Picoseconds period, Volts v,
+                   Celsius t) const
+    {
+        std::vector<double> nominal(bank.siteCount());
+        std::vector<int> stuck(bank.siteCount());
+        bank.exportSoa(nominal.data(), stuck.data());
+        const double f = model_->factor(v, t);
+        const circuit::InverterChain &chain = bank.site(0).chain();
+        return worstCountSoa(nominal.data(), stuck.data(),
+                             static_cast<int>(nominal.size()),
+                             period.value(), f,
+                             chain.stepPs().value() * (f * core_.speedFactor),
+                             chain.length());
     }
 
     variation::CoreSiliconParams core_;
@@ -68,10 +87,10 @@ TEST_F(CpmBankTest, ReductionRaisesWorstCount)
 {
     CpmBank bank(&core_, model_.get());
     const Picoseconds period = util::periodOf(util::Mhz{4600.0});
-    const int at_preset = bank.worstCount(period, Volts{1.25},
-                                          Celsius{45.0});
+    const int at_preset =
+        worstCount(bank, period, Volts{1.25}, Celsius{45.0});
     bank.setReduction(CpmSteps{4});
-    EXPECT_GT(bank.worstCount(period, Volts{1.25}, Celsius{45.0}),
+    EXPECT_GT(worstCount(bank, period, Volts{1.25}, Celsius{45.0}),
               at_preset);
 }
 
@@ -81,11 +100,35 @@ TEST_F(CpmBankTest, WorstCountDropsUnderDroop)
     bank.setReduction(CpmSteps{4});
     // Pick the period where the loop would sit, then droop.
     const Picoseconds period = core_.atmPeriodPs(CpmSteps{4}, 1.0);
-    const int healthy = bank.worstCount(period, Volts{1.25},
-                                        Celsius{45.0});
-    const int drooped = bank.worstCount(period, Volts{1.19},
-                                        Celsius{45.0});
+    const int healthy =
+        worstCount(bank, period, Volts{1.25}, Celsius{45.0});
+    const int drooped =
+        worstCount(bank, period, Volts{1.19}, Celsius{45.0});
     EXPECT_LT(drooped, healthy);
+}
+
+TEST_F(CpmBankTest, WorstCountIsSiteMinimum)
+{
+    // The array scan must report exactly the smallest per-site output
+    // count, stuck sites included.
+    CpmBank bank(&core_, model_.get());
+    bank.setReduction(CpmSteps{4});
+    const Picoseconds period = core_.atmPeriodPs(CpmSteps{4}, 1.0);
+    const auto site_min = [&](Volts v) {
+        int worst = bank.site(0).outputCount(period, v, Celsius{45.0});
+        for (int s = 1; s < static_cast<int>(bank.siteCount()); ++s)
+            worst = std::min(
+                worst, bank.site(s).outputCount(period, v, Celsius{45.0}));
+        return worst;
+    };
+    for (const double v : {1.25, 1.19, 1.10}) {
+        EXPECT_EQ(worstCount(bank, period, Volts{v}, Celsius{45.0}),
+                  site_min(Volts{v}))
+            << v << " V";
+    }
+    bank.injectStuckOutput(3, 0);
+    EXPECT_EQ(worstCount(bank, period, Volts{1.25}, Celsius{45.0}), 0);
+    EXPECT_EQ(site_min(Volts{1.25}), 0);
 }
 
 TEST_F(CpmBankTest, ReductionValidation)

@@ -7,8 +7,18 @@
 namespace atmsim::dpll {
 namespace {
 
-using util::Nanoseconds;
 using util::Picoseconds;
+
+/** A one-core bank of the engine's control loops, started at
+ *  `period_ps` with the default parameters. */
+DpllBankSoa
+oneLoop(double period_ps)
+{
+    DpllBankSoa loop;
+    loop.resize(1, DpllParams{});
+    loop.periodPs[0] = period_ps;
+    return loop;
+}
 
 TEST(Dpll, ResetSetsPeriod)
 {
@@ -20,70 +30,64 @@ TEST(Dpll, ResetSetsPeriod)
 
 TEST(Dpll, SpeedsUpOnSurplusMargin)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{220.0});
-    Nanoseconds now{0.0};
+    DpllBankSoa loop = oneLoop(220.0);
+    double now = 0.0;
     for (int i = 0; i < 50; ++i) {
-        dpll.observe(now, 10); // plenty of margin
-        now += dpll.params().updateInterval;
+        loop.observe(0, now, 10); // plenty of margin
+        now += loop.updateIntervalNs;
     }
-    EXPECT_LT(dpll.periodPs().value(), 220.0);
+    EXPECT_LT(loop.periodPs[0], 220.0);
 }
 
 TEST(Dpll, SlowsDownOnDeficitMargin)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{220.0});
-    Nanoseconds now{0.0};
+    DpllBankSoa loop = oneLoop(220.0);
+    double now = 0.0;
     for (int i = 0; i < 10; ++i) {
-        dpll.observe(now, 2); // below target, above emergency
-        now += dpll.params().updateInterval;
+        loop.observe(0, now, 2); // below target, above emergency
+        now += loop.updateIntervalNs;
     }
-    EXPECT_GT(dpll.periodPs().value(), 220.0);
-    EXPECT_EQ(dpll.emergencyCount(), 0);
+    EXPECT_GT(loop.periodPs[0], 220.0);
+    EXPECT_EQ(loop.emergencies[0], 0);
 }
 
 TEST(Dpll, HoldsAtTarget)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{220.0});
-    dpll.observe(Nanoseconds{0.0}, dpll.params().targetCounts);
-    EXPECT_DOUBLE_EQ(dpll.periodPs().value(), 220.0);
+    DpllBankSoa loop = oneLoop(220.0);
+    loop.observe(0, 0.0, loop.targetCounts);
+    EXPECT_DOUBLE_EQ(loop.periodPs[0], 220.0);
+    EXPECT_EQ(loop.adjustments, 0);
 }
 
 TEST(Dpll, EmergencyStretchesImmediately)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{200.0});
-    dpll.observe(Nanoseconds{0.05}, 0); // far from an update boundary
-    EXPECT_NEAR(dpll.periodPs().value(),
-                200.0 * (1.0 + dpll.params().emergencyStretchFrac),
+    DpllBankSoa loop = oneLoop(200.0);
+    loop.observe(0, 0.05, 0); // far from an update boundary
+    EXPECT_NEAR(loop.periodPs[0], 200.0 * (1.0 + loop.emergencyStretchFrac),
                 1e-9);
-    EXPECT_EQ(dpll.emergencyCount(), 1);
-    EXPECT_TRUE(dpll.inEmergency(Nanoseconds{0.1}));
+    EXPECT_EQ(loop.emergencies[0], 1);
+    EXPECT_DOUBLE_EQ(loop.lastEmergencyNs[0], 0.05);
 }
 
 TEST(Dpll, EmergencyRateLimited)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{200.0});
-    dpll.observe(Nanoseconds{0.0}, 0);
-    const double after_first = dpll.periodPs().value();
-    dpll.observe(Nanoseconds{0.2}, 0); // within the holdoff
-    EXPECT_DOUBLE_EQ(dpll.periodPs().value(), after_first);
-    dpll.observe(Nanoseconds{1.5}, 0); // past the holdoff
-    EXPECT_GT(dpll.periodPs().value(), after_first);
-    EXPECT_EQ(dpll.emergencyCount(), 2);
+    DpllBankSoa loop = oneLoop(200.0);
+    loop.observe(0, 0.0, 0);
+    const double after_first = loop.periodPs[0];
+    loop.observe(0, 0.2, 0); // within the holdoff
+    EXPECT_DOUBLE_EQ(loop.periodPs[0], after_first);
+    loop.observe(0, 1.5, 0); // past the holdoff
+    EXPECT_GT(loop.periodPs[0], after_first);
+    EXPECT_EQ(loop.emergencies[0], 2);
 }
 
 TEST(Dpll, ProportionalPathRespectsUpdateInterval)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{220.0});
-    dpll.observe(Nanoseconds{0.0}, 10);
-    const double after_first = dpll.periodPs().value();
-    dpll.observe(Nanoseconds{0.5}, 10); // too soon
-    EXPECT_DOUBLE_EQ(dpll.periodPs().value(), after_first);
+    DpllBankSoa loop = oneLoop(220.0);
+    loop.observe(0, 0.0, 10);
+    const double after_first = loop.periodPs[0];
+    loop.observe(0, 0.5, 10); // too soon
+    EXPECT_DOUBLE_EQ(loop.periodPs[0], after_first);
 }
 
 TEST(Dpll, UpSlewSlowerThanDownSlew)
@@ -96,15 +100,13 @@ TEST(Dpll, UpSlewSlowerThanDownSlew)
 
 TEST(Dpll, PeriodClampedToBounds)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{170.0});
-    Nanoseconds now{0.0};
+    DpllBankSoa loop = oneLoop(170.0);
+    double now = 0.0;
     for (int i = 0; i < 2000; ++i) {
-        dpll.observe(now, 20);
-        now += dpll.params().updateInterval;
+        loop.observe(0, now, 20);
+        now += loop.updateIntervalNs;
     }
-    EXPECT_GE(dpll.periodPs().value(),
-              dpll.params().minPeriod.value() - 1e-9);
+    EXPECT_GE(loop.periodPs[0], loop.minPeriodPs - 1e-9);
 }
 
 TEST(Dpll, ConvergesToTargetMarginBand)
@@ -112,18 +114,16 @@ TEST(Dpll, ConvergesToTargetMarginBand)
     // Closed-loop sanity: emulate a monitored delay of 210 ps and a
     // 1.5 ps inverter; the loop should settle with period in
     // [210 + 6, 210 + 7.5).
-    Dpll dpll;
-    dpll.reset(Picoseconds{230.0});
-    Nanoseconds now{0.0};
+    DpllBankSoa loop = oneLoop(230.0);
+    double now = 0.0;
     for (int i = 0; i < 4000; ++i) {
         const int margin = std::max(
-            0,
-            static_cast<int>((dpll.periodPs().value() - 210.0) / 1.5));
-        dpll.observe(now, margin);
-        now += dpll.params().updateInterval;
+            0, static_cast<int>((loop.periodPs[0] - 210.0) / 1.5));
+        loop.observe(0, now, margin);
+        now += loop.updateIntervalNs;
     }
-    EXPECT_GE(dpll.periodPs().value(), 215.9);
-    EXPECT_LT(dpll.periodPs().value(), 218.0);
+    EXPECT_GE(loop.periodPs[0], 215.9);
+    EXPECT_LT(loop.periodPs[0], 218.0);
 }
 
 TEST(Dpll, RejectsBadParams)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "fault/fault_spec.h"
 #include "util/logging.h"
@@ -68,6 +69,40 @@ TEST(FaultSpecTest, ParseRejectsMalformedInput)
                  util::FatalError);
     EXPECT_THROW(FaultSpec::parse("cpm-stuck:core=x"), util::FatalError);
     EXPECT_THROW(FaultSpec::parse("warp-core:core=1"), util::FatalError);
+}
+
+TEST(FaultSpecTest, ParseRejectsTrailingText)
+{
+    // Every numeric field must be a number and nothing else.
+    for (const char *text :
+         {"thermal:core=2x", "thermal:core=2.0", "cpm-stuck:core=2,site=0x",
+          "cpm-stuck:core=2,site=1.5", "thermal:core=2,start=1us",
+          "thermal:core=2,dur=4 ", "thermal:core=2,mag=12C"}) {
+        EXPECT_THROW(FaultSpec::parse(text), util::FatalError) << text;
+    }
+}
+
+TEST(FaultSpecTest, NonFiniteFieldsAreRejected)
+{
+    // Integer fields never parse nan or inf; real fields may parse
+    // them, but validate() must refuse the spec.
+    for (const char *field : {"core", "site"}) {
+        for (const char *value : {"nan", "inf", "-inf"}) {
+            const std::string text = std::string("cpm-stuck:core=2,")
+                                   + field + '=' + value;
+            EXPECT_THROW(FaultSpec::parse(text), util::FatalError)
+                << text;
+        }
+    }
+    for (const char *field : {"start", "dur", "mag"}) {
+        for (const char *value : {"nan", "inf", "-inf", "NaN"}) {
+            const std::string text = std::string("thermal:core=2,")
+                                   + field + '=' + value;
+            EXPECT_THROW(FaultSpec::parse(text).validate(8),
+                         util::FatalError)
+                << text;
+        }
+    }
 }
 
 TEST(FaultSpecTest, ValidateChecksCoreRange)

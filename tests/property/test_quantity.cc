@@ -89,8 +89,8 @@ TEST(QuantityProperty, UnwrapRewrapIsBitwiseExact)
 TEST(QuantityProperty, ArithmeticMatchesRawDoubleBitwise)
 {
     // Quantity operators must lower to the identical double ops, in
-    // the same order -- the SoA/legacy bitwise-identity contract
-    // depends on it.
+    // the same order -- the engine's golden identity digests depend
+    // on it.
     util::Rng rng(0x50b);
     for (int i = 0; i < 1000; ++i) {
         const double a = rng.uniform() * 250.0;

@@ -285,7 +285,7 @@ def validate_manifest(manifest: dict) -> None:
     check_type(engine, "steps_per_sec", NUMBER)
     mode = check_type(engine, "mode", str)
     require(
-        mode in ("legacy", "soa", "sampled"),
+        mode in ("soa", "sampled"),
         f"unknown engine mode '{mode}'",
     )
     fast_forwarded = check_type(engine, "fast_forwarded_steps", int)
