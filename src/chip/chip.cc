@@ -46,10 +46,25 @@ Chip::Chip(variation::ChipSilicon silicon, const ChipConfig &config)
       power_(config.powerParams)
 {
     silicon_.validate();
-    cores_.reserve(silicon_.cores.size());
+    const std::size_t n = silicon_.cores.size();
+    cores_.reserve(n);
     for (const auto &core_silicon : silicon_.cores)
-        cores_.emplace_back(&core_silicon, model_.get(), config.dpllParams);
-    assignments_.resize(silicon_.cores.size());
+        cores_.emplace_back(&core_silicon, model_.get());
+    loops_.dpll.resize(n, config.dpllParams);
+    for (std::size_t c = 0; c < n; ++c)
+        loops_.dpll.reset(c, util::periodOf(circuit::kDefaultAtmIdleMhz));
+    loops_.vSlow.assign(n, 0.0);
+    loops_.vSlowValid.assign(n, 0);
+    loops_.lastWorst.assign(n, -1);
+    assignments_.resize(n);
+}
+
+std::size_t
+Chip::checkedIndex(int core_index, const char *what) const
+{
+    if (core_index < 0 || core_index >= coreCount())
+        util::fatal(what, ": core ", core_index, " out of range");
+    return static_cast<std::size_t>(core_index);
 }
 
 AtmCore &
@@ -73,25 +88,82 @@ Chip::core(int index) const
 void
 Chip::scaleCoreSpeed(int core_index, double factor)
 {
-    if (core_index < 0 || core_index >= coreCount())
-        util::fatal("scaleCoreSpeed: core ", core_index, " out of range");
+    const std::size_t c = checkedIndex(core_index, "scaleCoreSpeed");
     if (factor <= 0.0)
         util::fatal("scaleCoreSpeed: factor must be positive, got ",
                     factor);
     // The AtmCore and its CPMs hold pointers into silicon_, so the
     // change propagates to every delay computation immediately.
-    silicon_.cores[static_cast<std::size_t>(core_index)].speedFactor
-        *= factor;
+    silicon_.cores[c].speedFactor *= factor;
+}
+
+void
+Chip::resetClock(int core_index, Volts v, Celsius t)
+{
+    const std::size_t c = checkedIndex(core_index, "resetClock");
+    loops_.dpll.reset(
+        c, util::periodOf(cores_[c].steadyFrequencyMhz(v, t)));
+    loops_.vSlow[c] = v.value();
+    loops_.vSlowValid[c] = 1;
+    loops_.lastWorst[c] = -1;
+    ++clockResets_;
+}
+
+Picoseconds
+Chip::periodPs(int core_index) const
+{
+    const std::size_t c = checkedIndex(core_index, "periodPs");
+    switch (cores_[c].mode()) {
+      case CoreMode::AtmOverclock:
+        return Picoseconds{loops_.dpll.periodPs[c]};
+      case CoreMode::FixedFrequency:
+        return util::periodOf(cores_[c].fixedFrequencyMhz());
+      case CoreMode::Gated:
+        return util::periodOf(circuit::kPStateMinMhz);
+    }
+    util::panic("unreachable core mode");
+}
+
+Mhz
+Chip::frequencyMhz(int core_index) const
+{
+    return util::frequencyOf(periodPs(core_index));
+}
+
+long
+Chip::emergencyCount(int core_index) const
+{
+    return loops_.dpll
+        .emergencies[checkedIndex(core_index, "emergencyCount")];
+}
+
+void
+Chip::setSensorDropout(int core_index)
+{
+    ++loops_.dpll.dropouts[checkedIndex(core_index, "setSensorDropout")];
+}
+
+void
+Chip::clearSensorDropout(int core_index)
+{
+    int &active =
+        loops_.dpll.dropouts[checkedIndex(core_index, "clearSensorDropout")];
+    if (active > 0)
+        --active;
+}
+
+bool
+Chip::sensorDropout(int core_index) const
+{
+    return loops_.dpll.dropouts[checkedIndex(core_index, "sensorDropout")] > 0;
 }
 
 void
 Chip::assignWorkload(int core_index, const workload::WorkloadTraits *traits,
                      int threads)
 {
-    if (core_index < 0 || core_index >= coreCount())
-        util::fatal("assignWorkload: core ", core_index, " out of range");
     CoreAssignment &slot =
-        assignments_[static_cast<std::size_t>(core_index)];
+        assignments_[checkedIndex(core_index, "assignWorkload")];
     if (!traits) {
         slot = CoreAssignment{};
         return;
@@ -113,9 +185,7 @@ Chip::clearAssignments()
 const CoreAssignment &
 Chip::assignment(int core_index) const
 {
-    if (core_index < 0 || core_index >= coreCount())
-        util::fatal("assignment: core ", core_index, " out of range");
-    return assignments_[static_cast<std::size_t>(core_index)];
+    return assignments_[checkedIndex(core_index, "assignment")];
 }
 
 Picoseconds

@@ -9,11 +9,13 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "chip/atm_core.h"
 #include "circuit/delay_model.h"
+#include "dpll/dpll.h"
 #include "pdn/pdn_network.h"
 #include "power/power_model.h"
 #include "thermal/thermal_model.h"
@@ -39,6 +41,33 @@ struct ChipConfig
 
     /** VRM load-line resistance (ohm). */
     double vrmLoadLineOhm = 0.22e-3;
+};
+
+/**
+ * EWMA coefficient (~150 ns time constant at 0.2 ns steps) of the
+ * slow-tracked local voltage reference the timing model measures
+ * droop excursions against; the engine's control kernel
+ * (sim::EngineSoaState::controlStepAll) applies it every step.
+ */
+inline constexpr double kVSlowTrackingAlpha = 0.0015;
+
+/**
+ * The per-core ATM control-loop state of a chip, one array entry per
+ * core. The chip holds the only copy: the engine steps it in place
+ * (sim::EngineSoaState), and observers and the fault injector use
+ * Chip's clock view.
+ */
+struct ControlLoops
+{
+    dpll::DpllBankSoa dpll;
+
+    /** Slow-tracked local voltage (reference for droop excursions). */
+    std::vector<double> vSlow;
+    std::vector<std::uint8_t> vSlowValid;
+
+    /** Margin the DPLL last acted on (metrics sampling); -1 before
+     *  the first control step. */
+    std::vector<int> lastWorst;
 };
 
 /** Workload assignment of one core. */
@@ -101,6 +130,48 @@ class Chip
      */
     void scaleCoreSpeed(int core_index, double factor);
 
+    // --- Clock view ----------------------------------------------------
+
+    /**
+     * Restart a core's clock at the steady state for the given
+     * environment: the period of steadyFrequencyMhz(v, t), clamped to
+     * the DPLL bounds, with the loop counters and held margin cleared
+     * and the slow rail at `v`. Sensor dropouts are left untouched.
+     * The engine does this for every core at run start; an observer
+     * that reconfigures a core mid-run must do it too (see
+     * sim::EngineObserver).
+     */
+    void resetClock(int core_index, Volts v, Celsius t);
+
+    /** Clock resets since construction; the engine watches this to
+     *  notice observer reconfigurations. */
+    long clockResets() const { return clockResets_; }
+
+    /** Current clock period of a core (DPLL, fixed or gated). */
+    Picoseconds periodPs(int core_index) const;
+
+    /** Current clock frequency of a core. */
+    Mhz frequencyMhz(int core_index) const;
+
+    /** Emergency engagements since the core's last resetClock(). */
+    long emergencyCount(int core_index) const;
+
+    /**
+     * Fault injection: drop a core's CPM sensor input. While any
+     * dropout is active the loop holds the last margin it observed
+     * (hold-last semantics), so it neither slews nor engages the
+     * emergency path in response to fresh droops -- the hazard the
+     * fault campaigns probe. Dropouts count: each set is undone by
+     * one clear, so overlapping dropout faults nest.
+     */
+    void setSensorDropout(int core_index);
+    void clearSensorDropout(int core_index);
+    bool sensorDropout(int core_index) const;
+
+    /** The per-core loop arrays the engine steps in place. */
+    ControlLoops &loops() { return loops_; }
+    const ControlLoops &loops() const { return loops_; }
+
     // --- Workload placement --------------------------------------------
 
     /**
@@ -149,10 +220,15 @@ class Chip
                    const workload::WorkloadTraits &traits);
 
   private:
+    /** Array index of a core; fatal() naming `what` if out of range. */
+    std::size_t checkedIndex(int core_index, const char *what) const;
+
     variation::ChipSilicon silicon_;
     ChipConfig config_;
     std::unique_ptr<circuit::DelayModel> model_;
     std::vector<AtmCore> cores_;
+    ControlLoops loops_;
+    long clockResets_ = 0;
     std::vector<CoreAssignment> assignments_;
     pdn::PdnNetwork pdn_;
     thermal::ThermalModel thermal_;

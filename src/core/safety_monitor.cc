@@ -123,8 +123,8 @@ SafetyMonitor::restartAtm(int core, int reduction)
     chip::AtmCore &c = chip_->core(core);
     c.setMode(chip::CoreMode::AtmOverclock);
     c.setCpmReduction(util::CpmSteps{reduction});
-    c.resetClock(chip_->pdn().coreV(core),
-                 chip_->thermal().coreTempC(core));
+    chip_->resetClock(core, chip_->pdn().coreV(core),
+                      chip_->thermal().coreTempC(core));
 }
 
 void
@@ -150,8 +150,8 @@ SafetyMonitor::escalate(int core, double now_ns)
     chip::AtmCore &c = chip_->core(core);
     c.setMode(chip::CoreMode::FixedFrequency);
     c.setFixedFrequencyMhz(circuit::kStaticMarginMhz);
-    c.resetClock(chip_->pdn().coreV(core),
-                 chip_->thermal().coreTempC(core));
+    chip_->resetClock(core, chip_->pdn().coreV(core),
+                      chip_->thermal().coreTempC(core));
     cs.state = CoreSafetyState::Fallback;
     cs.backoffUs = std::min(cs.backoffUs * config_.backoffMultiplier,
                             config_.maxBackoffUs);
@@ -272,7 +272,7 @@ SafetyMonitor::onSample(util::Nanoseconds now,
                     chip_->delayModel().factor(circuit::kVddNominal,
                                                t_c))
                 .value();
-        if (c.frequencyMhz().value()
+        if (chip_->frequencyMhz(core).value()
             > honest_mhz * (1.0 + config_.freqGuardFrac))
             anomaly = true;
 
@@ -284,7 +284,7 @@ SafetyMonitor::onSample(util::Nanoseconds now,
         // Probes agreeing at zero (a deep droop eating all slack) are
         // excluded: a canary stuck at zero only drags the loop slow,
         // a performance fault rather than a safety hazard.
-        const util::Picoseconds period = c.periodPs();
+        const util::Picoseconds period = chip_->periodPs(core);
         const util::Picoseconds slow_ps =
             period * (1.0 + config_.probePeriodFrac);
         const util::Picoseconds fast_ps =

@@ -6,6 +6,10 @@
  * the clock period; on an emergency (margin near zero, e.g. a fast
  * di/dt droop) it stretches the clock immediately, which is the
  * lower-penalty alternative to gating the clock for a cycle.
+ *
+ * The loops of a chip are one DpllBankSoa of per-core arrays, owned
+ * by chip::Chip and stepped in place by the engine; there is no
+ * per-loop object.
  */
 
 #pragma once
@@ -20,7 +24,6 @@
 
 namespace atmsim::dpll {
 
-using util::Mhz;
 using util::Nanoseconds;
 using util::Picoseconds;
 
@@ -58,96 +61,12 @@ struct DpllParams
 };
 
 /**
- * Snapshot of one loop's mutable state, for the engine's SoA mirror
- * (DpllBankSoa). Raw doubles: the engine keeps these in contiguous
- * per-core arrays and round-trips them through export/import around
- * fault edges and observer callbacks.
- */
-struct DpllState
-{
-    double periodPs = 250.0;
-    double lastUpdateNs = -1e18;
-    double lastEmergencyNs = -1e18;
-    long emergencies = 0;
-    long slewDowns = 0;
-    long slewUps = 0;
-    int heldMargin = 0;
-    bool heldValid = false;
-    bool dropout = false;
-};
-
-/**
- * One core's slew-limited adaptive clock generator: its parameters,
- * period and loop state. The control law that advances the state is
- * DpllBankSoa::observe(), which the engine runs over all cores; the
- * engine round-trips each loop's state through exportState() and
- * importState().
- */
-class Dpll
-{
-  public:
-    explicit Dpll(const DpllParams &params = {});
-
-    /** Reset to a starting period and clear loop state. */
-    void reset(Picoseconds period);
-
-    /** Current clock period. */
-    Picoseconds periodPs() const { return period_; }
-
-    /** Current clock frequency. */
-    Mhz frequencyMhz() const;
-
-    /** Number of emergency engagements since reset. */
-    long emergencyCount() const { return emergencies_; }
-
-    /** Downward slews (period stretches) since reset, emergencies
-     *  excluded. */
-    long slewDownCount() const { return slewDowns_; }
-
-    /** Upward slews (period shrinks) since reset. */
-    long slewUpCount() const { return slewUps_; }
-
-    /**
-     * Fault injection: drop the CPM sensor input. While active the
-     * loop holds the last margin it observed before the dropout
-     * (hold-last semantics), so it neither slews nor engages the
-     * emergency path in response to fresh droops -- the hazard the
-     * fault campaigns probe.
-     */
-    void setSensorDropout(bool active);
-    bool sensorDropout() const { return dropout_; }
-
-    const DpllParams &params() const { return params_; }
-
-    /** Export the mutable loop state (SoA mirror handshake). */
-    [[nodiscard]] DpllState exportState() const;
-
-    /** Restore a state previously produced by exportState(). The
-     *  period is taken verbatim (no re-clamp): a round trip must be
-     *  lossless. */
-    void importState(const DpllState &state);
-
-  private:
-    void clampPeriod();
-
-    DpllParams params_;
-    Picoseconds period_{250.0};
-    Nanoseconds lastUpdate_{-1e18};
-    Nanoseconds lastEmergency_{-1e18};
-    long emergencies_ = 0;
-    long slewDowns_ = 0;
-    long slewUps_ = 0;
-    bool dropout_ = false;
-    int heldMargin_ = 0;
-    bool heldValid_ = false;
-};
-
-/**
- * Structure-of-arrays mirror of a bank of per-core DPLLs, for the
- * engine's SoA step path (DESIGN.md, engine architecture). All cores
- * of a chip share one DpllParams (chip::ChipConfig::dpllParams), so
- * the parameters live here once and the per-loop state is contiguous
- * arrays. observe() is the one implementation of the control law.
+ * The per-core DPLLs of one chip as structure-of-arrays state. All
+ * cores of a chip share one DpllParams (chip::ChipConfig::dpllParams),
+ * so the parameters live here once and the per-loop state is
+ * contiguous arrays. chip::Chip owns the one bank of a chip; the
+ * engine steps it in place, and observe() is the one implementation
+ * of the control law.
  *
  * `adjustments` counts every period modification (slew or emergency
  * stretch); the steady-state detector reads it to decide whether the
@@ -163,7 +82,9 @@ struct DpllBankSoa
     std::vector<long> slewUps;
     std::vector<int> heldMargin;
     std::vector<std::uint8_t> heldValid;
-    std::vector<std::uint8_t> dropout;
+    /** Active sensor-dropout faults per core; the loop holds its last
+     *  healthy margin while this is above zero. */
+    std::vector<int> dropouts;
     long adjustments = 0;
 
     // Params flattened to raw doubles once at build time.
@@ -178,15 +99,15 @@ struct DpllBankSoa
     int emergencyCounts = 1;
     int slewUpCapCounts = 4;
 
-    /** Size the arrays and flatten the shared params. */
+    /** Size the arrays and flatten the shared params; fatal() on
+     *  params the loop cannot run with. */
     // atmlint: contract(cold)
     void resize(std::size_t cores, const DpllParams &params);
 
-    /** Import one loop's state (object -> arrays). */
-    void load(std::size_t core, const Dpll &loop);
-
-    /** Export one loop's state (arrays -> object). */
-    void store(std::size_t core, Dpll &loop) const;
+    /** Restart one loop at a period (clamped to the bounds): clear
+     *  its counters, timers and held margin. Dropouts are left
+     *  untouched. */
+    void reset(std::size_t core, Picoseconds period);
 
     /**
      * Feed one core's margin observation. The proportional path acts
@@ -200,7 +121,7 @@ struct DpllBankSoa
     ATM_HOT_PATH(engine_step)
     void observe(std::size_t core, double nowNs, int marginCounts) noexcept
     {
-        if (dropout[core]) {
+        if (dropouts[core] > 0) {
             // The sensor input is gone; the loop keeps acting on the
             // last healthy reading and is blind to anything happening
             // now.

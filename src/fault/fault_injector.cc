@@ -1,5 +1,6 @@
 #include "fault/fault_injector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -26,7 +27,7 @@ FaultInjector::apply(const FaultSpec &spec)
             spec.site, static_cast<int>(spec.magnitude));
         break;
       case FaultKind::SensorDropout:
-        chip_->core(spec.core).dpll().setSensorDropout(true);
+        chip_->setSensorDropout(spec.core);
         break;
       case FaultKind::VrmLoadStep:
         chip_->pdn().setFaultCurrentA(chip_->pdn().faultCurrentA()
@@ -58,21 +59,16 @@ FaultInjector::revert(const FaultSpec &spec)
         chip_->core(spec.core).cpmBank().clearFaults();
         break;
       case FaultKind::SensorDropout:
-        chip_->core(spec.core).dpll().setSensorDropout(false);
+        chip_->clearSensorDropout(spec.core);
         break;
       case FaultKind::VrmLoadStep:
         chip_->pdn().setFaultCurrentA(chip_->pdn().faultCurrentA()
                                       - util::Amps{spec.magnitude});
         break;
       case FaultKind::DroopStorm:
-        for (std::size_t s = 0; s < storms_.size(); ++s) {
-            if (storms_[s].core == spec.core
-                && storms_[s].startUs == spec.startUs) {
-                storms_.erase(storms_.begin()
-                              + static_cast<std::ptrdiff_t>(s));
-                break;
-            }
-        }
+        if (const auto it = std::find(storms_.begin(), storms_.end(), spec);
+            it != storms_.end())
+            storms_.erase(it);
         break;
       case FaultKind::AgingJump:
         chip_->scaleCoreSpeed(spec.core, 1.0 / (1.0 + spec.magnitude));

@@ -87,6 +87,10 @@ struct FaultSpec
     /** Expiry time in engine units (ns); +inf for permanent faults. */
     double endNs() const;
 
+    /** Field-wise equality (the injector matches a revert to the
+     *  applied fault this way). */
+    bool operator==(const FaultSpec &) const = default;
+
     /** Check internal consistency for a chip; fatal() on violation. */
     void validate(int core_count) const;
 

@@ -1,11 +1,8 @@
 /**
  * @file
  * Engine observation interface: the single per-sample dispatch point
- * of a SimEngine run.
- *
- * PR 3 folded the legacy SimEngine::Probe callback into this
- * interface: the engine builds one per-core sample frame at the
- * statistics cadence and hands it to every attached observer, so
+ * of a SimEngine run. The engine builds one per-core sample frame at
+ * the statistics cadence and hands it to every attached observer, so
  * telemetry recorders, safety monitors, and metric exporters all
  * share a single dispatch instead of stacking per-core std::function
  * calls in the hot loop.
@@ -32,9 +29,17 @@ struct CoreSample
 /**
  * Runtime observer interface: telemetry recorders and supervisors
  * implement this to watch an engine run and (for supervisors) react
- * to it -- the engine reads core modes and CPM configurations every
- * step, so reconfigurations take effect immediately. The engine
- * never owns its observers; several can be attached to one run.
+ * to it. The engine never owns its observers; several can be
+ * attached to one run.
+ *
+ * Reconfiguration contract: an observer that changes a core's mode,
+ * fixed frequency or CPM reduction mid-run restarts that core's
+ * clock with chip::Chip::resetClock in the same callback. The engine
+ * caches core configuration and reloads it only when a dispatch moved
+ * the chip's clock-reset count, so a reconfiguration made without a
+ * reset is not seen until the next fault edge. Clock state itself
+ * (chip::Chip::periodPs and friends) is the engine's live state and
+ * always current.
  */
 class EngineObserver
 {

@@ -174,6 +174,22 @@ makeEngineProfiler(bool wants_wall_clock)
 }
 
 /**
+ * After an observer dispatch: an observer that reconfigured a core
+ * restarted its clock (the EngineObserver contract), so a moved reset
+ * count means the cached configuration is stale. Reload it and report
+ * the reconfiguration.
+ */
+ATM_HOT_PATH(engine_step)
+bool
+reloadIfReset(chip::Chip &chip, EngineSoaState &soa, long resets_before)
+{
+    if (chip.clockResets() == resets_before)
+        return false;
+    soa.loadConfig(chip);
+    return true;
+}
+
+/**
  * First step index whose simulation time is at or past `timeNs`.
  * Sentinel times (+inf, the generators' 1e30 "nothing scheduled")
  * map to a huge-but-overflow-safe index instead of tripping the
@@ -374,8 +390,8 @@ SimEngine::prepareRun(RunScratch &scratch, RunResult &result,
     }
     for (int c = 0; c < n; ++c) {
         const auto ci = static_cast<std::size_t>(c);
-        chip.core(c).resetClock(scratch.steady.coreVoltageV[ci],
-                                scratch.steady.coreTempC[ci]);
+        chip.resetClock(c, scratch.steady.coreVoltageV[ci],
+                        scratch.steady.coreTempC[ci]);
     }
 
     // --- Fault campaign arming. Scratch for edge collection is sized
@@ -634,12 +650,11 @@ SimEngine::run(double duration_us)
         // Fire and expire armed faults. The scan is skipped entirely
         // until simulation time reaches the next known edge -- a
         // campaign's effects happen only at edges, so the gate is
-        // behavior-preserving. The injector works on the chip
-        // objects, so dynamic state is stored back first and the full
-        // state reloaded after.
+        // behavior-preserving. The injector reconfigures the chip
+        // objects, so the configuration and temperatures are reloaded
+        // after.
         if (campaign_ && now_ns >= scratch.nextFaultEdgeNs) {
             t0 = profiler.begin();
-            soa.storeDynamic(chip);
             scratch.faultEdges.clear();
             campaign_->collectActivations(now_ns, scratch.faultEdges);
             for (std::size_t f : scratch.faultEdges) {
@@ -676,7 +691,6 @@ SimEngine::run(double duration_us)
             }
             scratch.nextFaultEdgeNs = campaign_->nextEdgeNs();
             soa.loadConfig(chip);
-            soa.loadDynamic(chip);
             soa.refreshTemps(chip);
             config_edge = true;
             profiler.end(kPhaseFaults, t0);
@@ -746,10 +760,9 @@ SimEngine::run(double duration_us)
         // The timing race, against the array state. A violation is
         // counted once per episode: contiguous violating steps are one
         // event, and the episode ends when the core meets timing again
-        // (gated cores always do). Observer fan-out is bracketed by a
-        // store/reload handshake so a monitor that reconfigures the
-        // chip (quarantine, clock reset) is picked up before the next
-        // core's check.
+        // (gated cores always do). A monitor that reconfigures a core
+        // (quarantine, fallback) restarts its clock, and the
+        // configuration is reloaded before the next core's check.
         t0 = profiler.begin();
         bool violated = false;
         for (int c = 0; c < n; ++c) {
@@ -773,9 +786,9 @@ SimEngine::run(double duration_us)
                     : u < 0.8 ? FailureKind::AbnormalExit
                               : FailureKind::SilentDataCorruption;
             if (have_observers) {
-                soa.storeDynamic(chip);
+                const long resets = chip.clockResets();
                 dispatchViolation(ev);
-                if (soa.syncAfterDispatch(chip))
+                if (reloadIfReset(chip, soa, resets))
                     config_edge = true;
             }
             if (ev.detected) {
@@ -825,9 +838,9 @@ SimEngine::run(double duration_us)
             t0 = profiler.begin();
             foldStats(ctx, now_ns);
             if (have_observers) {
-                soa.storeDynamic(chip);
+                const long resets = chip.clockResets();
                 dispatchSample(Nanoseconds{now_ns}, scratch.frame);
-                if (soa.syncAfterDispatch(chip))
+                if (reloadIfReset(chip, soa, resets))
                     config_edge = true;
             }
             profiler.end(kPhaseStats, t0);
@@ -895,10 +908,9 @@ SimEngine::run(double duration_us)
         }
     }
 
-    soa.storeDynamic(chip);
     for (int c = 0; c < n; ++c) {
         const auto ci = static_cast<std::size_t>(c);
-        result.coreStats[ci].emergencies = chip.core(c).emergencyCount();
+        result.coreStats[ci].emergencies = chip.emergencyCount(c);
         result.safety.emergencies += result.coreStats[ci].emergencies;
     }
     result.minGridV = chip.pdn().minGridV().value();
@@ -928,9 +940,10 @@ SimEngine::run(double duration_us)
         met.emergencies->inc(result.safety.emergencies);
         if (result.stoppedEarly)
             met.stoppedEarly->inc();
-        for (int c = 0; c < n; ++c) {
-            met.slewUps->inc(chip.core(c).dpll().slewUpCount());
-            met.slewDowns->inc(chip.core(c).dpll().slewDownCount());
+        const dpll::DpllBankSoa &bank = chip.loops().dpll;
+        for (std::size_t c = 0; c < bank.slewUps.size(); ++c) {
+            met.slewUps->inc(bank.slewUps[c]);
+            met.slewDowns->inc(bank.slewDowns[c]);
         }
     }
     return result;
@@ -1004,9 +1017,9 @@ SimEngine::fastForwardSoa(SoaCtx &ctx, long from_step, long to_step)
             // counts and table means are unaffected. EXPERIMENTS.md
             // documents this as part of the sampled-mode envelope.
             if (have_observers && s % slow == 0) {
-                soa.storeDynamic(chip);
+                const long resets = chip.clockResets();
                 dispatchSample(Nanoseconds{now_ns}, scratch.frame);
-                if (soa.syncAfterDispatch(chip))
+                if (reloadIfReset(chip, soa, resets))
                     wake = true;
             }
             ctx.profiler.end(kPhaseStats, t0);

@@ -1,24 +1,9 @@
 #include "sim/soa_state.h"
 
-#include <cstring>
-
-#include "chip/chip.h"
 #include "circuit/constants.h"
 #include "util/logging.h"
 
 namespace atmsim::sim {
-
-namespace {
-
-/** Byte-compare two equally sized vectors (pre-sized in build()). */
-template <typename T>
-bool
-sameBytes(const std::vector<T> &a, const std::vector<T> &b)
-{
-    return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
-} // namespace
 
 // atmlint: contract(cold)
 void
@@ -45,29 +30,15 @@ EngineSoaState::build(chip::Chip &chip,
     didtVuln_.assign(n, 0.0);
     siteNominal_.assign(n * siteCount_, 0.0);
     siteStuck_.assign(n * siteCount_, -1);
-    vSlow_.assign(n, 0.0);
-    vSlowValid_.assign(n, 0);
-    lastWorst_.assign(n, -1);
     coreV_.assign(n, 0.0);
     tempC_.assign(n, 0.0);
     steadyV_.assign(n, 0.0);
     basePathPs_.assign(n, 0.0);
-    dpll_.resize(n, chip.core(0).dpll().params());
-
-    shadowMode_.assign(n, 0);
-    shadowFixedPeriodPs_.assign(n, 0.0);
-    shadowSpeedFactor_.assign(n, 0.0);
-    shadowSiteNominal_.assign(n * siteCount_, 0.0);
-    shadowSiteStuck_.assign(n * siteCount_, -1);
-    shadowDpllPeriodPs_.assign(n, 0.0);
-    shadowDpllLastUpdateNs_.assign(n, 0.0);
-    shadowDpllLastEmergencyNs_.assign(n, 0.0);
-    shadowDpllHeldMargin_.assign(n, 0);
-    shadowDpllHeldValid_.assign(n, 0);
-    shadowDpllDropout_.assign(n, 0);
-    shadowVSlow_.assign(n, 0.0);
-    shadowVSlowValid_.assign(n, 0);
-    shadowLastWorst_.assign(n, 0);
+    // The adjustment count is per run (the sampled-mode settling gate
+    // compares it against a per-run tracker that starts at zero), but
+    // the chip's loops outlive runs.
+    loops_ = &chip.loops();
+    loops_->dpll.adjustments = 0;
 
     for (std::size_t c = 0; c < n; ++c) {
         const chip::AtmCore &core = chip.core(static_cast<int>(c));
@@ -79,7 +50,6 @@ EngineSoaState::build(chip::Chip &chip,
     }
 
     loadConfig(chip);
-    loadDynamic(chip);
     refreshTemps(chip);
 }
 
@@ -96,35 +66,6 @@ EngineSoaState::loadConfig(chip::Chip &chip)
         didtVuln_[c] = core.silicon().didtVulnerability;
         core.cpmBank().exportSoa(siteNominal_.data() + c * siteCount_,
                                  siteStuck_.data() + c * siteCount_);
-    }
-}
-
-void
-EngineSoaState::loadDynamic(chip::Chip &chip)
-{
-    const std::size_t n = mode_.size();
-    for (std::size_t c = 0; c < n; ++c) {
-        const chip::AtmCore &core = chip.core(static_cast<int>(c));
-        dpll_.load(c, core.dpll());
-        const chip::ControlState state = core.exportControlState();
-        vSlow_[c] = state.vSlowV;
-        vSlowValid_[c] = state.vSlowValid ? 1 : 0;
-        lastWorst_[c] = state.lastWorstCount;
-    }
-}
-
-void
-EngineSoaState::storeDynamic(chip::Chip &chip) const
-{
-    const std::size_t n = mode_.size();
-    for (std::size_t c = 0; c < n; ++c) {
-        chip::AtmCore &core = chip.core(static_cast<int>(c));
-        dpll_.store(c, core.dpll());
-        chip::ControlState state;
-        state.vSlowV = vSlow_[c];
-        state.vSlowValid = vSlowValid_[c] != 0;
-        state.lastWorstCount = lastWorst_[c];
-        core.importControlState(state);
     }
 }
 
@@ -149,49 +90,6 @@ EngineSoaState::refreshCoreV(const chip::Chip &chip,
     const std::size_t n = coreV_.size();
     for (std::size_t c = 0; c < n; ++c)
         coreV_[c] = vDie - branchRes * branch_currents[c].value();
-}
-
-bool
-EngineSoaState::syncAfterDispatch(chip::Chip &chip)
-{
-    shadowMode_ = mode_;
-    shadowFixedPeriodPs_ = fixedPeriodPs_;
-    shadowSpeedFactor_ = speedFactor_;
-    shadowSiteNominal_ = siteNominal_;
-    shadowSiteStuck_ = siteStuck_;
-    shadowDpllPeriodPs_ = dpll_.periodPs;
-    shadowDpllLastUpdateNs_ = dpll_.lastUpdateNs;
-    shadowDpllLastEmergencyNs_ = dpll_.lastEmergencyNs;
-    shadowDpllHeldMargin_ = dpll_.heldMargin;
-    shadowDpllHeldValid_ = dpll_.heldValid;
-    shadowDpllDropout_ = dpll_.dropout;
-    shadowVSlow_ = vSlow_;
-    shadowVSlowValid_ = vSlowValid_;
-    shadowLastWorst_ = lastWorst_;
-
-    loadConfig(chip);
-    loadDynamic(chip);
-    return differsFromShadow();
-}
-
-bool
-EngineSoaState::differsFromShadow() const
-{
-    return !(sameBytes(mode_, shadowMode_)
-             && sameBytes(fixedPeriodPs_, shadowFixedPeriodPs_)
-             && sameBytes(speedFactor_, shadowSpeedFactor_)
-             && sameBytes(siteNominal_, shadowSiteNominal_)
-             && sameBytes(siteStuck_, shadowSiteStuck_)
-             && sameBytes(dpll_.periodPs, shadowDpllPeriodPs_)
-             && sameBytes(dpll_.lastUpdateNs, shadowDpllLastUpdateNs_)
-             && sameBytes(dpll_.lastEmergencyNs,
-                          shadowDpllLastEmergencyNs_)
-             && sameBytes(dpll_.heldMargin, shadowDpllHeldMargin_)
-             && sameBytes(dpll_.heldValid, shadowDpllHeldValid_)
-             && sameBytes(dpll_.dropout, shadowDpllDropout_)
-             && sameBytes(vSlow_, shadowVSlow_)
-             && sameBytes(vSlowValid_, shadowVSlowValid_)
-             && sameBytes(lastWorst_, shadowLastWorst_));
 }
 
 } // namespace atmsim::sim

@@ -1,23 +1,23 @@
 /**
  * @file
- * Structure-of-arrays chip-step state for the engine's SoA mode
- * (DESIGN.md, engine architecture). Built from chip::Chip at run
- * start: contiguous per-core arrays for voltage, temperature, clock
- * period, CPM site constants, path exposure, and mode flags, plus a
- * DpllBankSoa for the per-core control loops. The engine's four
- * per-core hot loops (power/current, electrical step, control step,
- * violation scan) index these arrays instead of chasing
- * object-per-core pointers.
+ * Structure-of-arrays chip-step state for the engine (DESIGN.md,
+ * engine architecture). Built from chip::Chip at run start:
+ * contiguous per-core arrays for voltage, temperature, CPM site
+ * constants, path exposure and mode flags. The engine's four per-core
+ * hot loops (power/current, electrical step, control step, violation
+ * scan) index these arrays instead of chasing object-per-core
+ * pointers.
  *
- * Sync discipline: configuration state (mode, fixed frequency, CPM
- * programming, speed factors) is authoritative in the chip objects
- * and flows in via loadConfig(); control-loop dynamic state (DPLL
- * state, slow-voltage tracking, last margin) is authoritative in
- * these arrays between sync points and flows back via storeDynamic()
- * before any code that reads the objects (fault injection, observer
- * callbacks). The kernels are the only implementation of the per-step
- * control law and timing race; the engine's golden identity digests
- * (sim::digest) pin their arithmetic bit for bit.
+ * Ownership: the per-core control-loop state (DPLL bank, slow rail,
+ * last worst count) is chip::ControlLoops, held by the chip alone;
+ * this state binds to it and the kernels step it in place, so there
+ * is nothing to store back. Configuration (mode, fixed frequency, CPM
+ * programming, speed factors) lives in the chip objects and is cached
+ * here by loadConfig() at run start, after fault edges and after an
+ * observer restarts a clock (chip::Chip::resetClock). The kernels are
+ * the only implementation of the per-step control law and timing
+ * race; the engine's golden identity digests (sim::digest) pin their
+ * arithmetic bit for bit.
  *
  * The layout static_asserts below pin the util/quantity.h property
  * the views rely on: a strong type is exactly one double, so
@@ -33,16 +33,12 @@
 #include <type_traits>
 #include <vector>
 
-#include "chip/atm_core.h"
+#include "chip/chip.h"
 #include "circuit/delay_model.h"
 #include "cpm/cpm_bank.h"
 #include "dpll/dpll.h"
 #include "util/hotpath_annotations.h"
 #include "util/quantity.h"
-
-namespace atmsim::chip {
-class Chip;
-}
 
 namespace atmsim::sim {
 
@@ -79,12 +75,13 @@ class EngineSoaState
     static constexpr std::uint8_t kModeGated =
         static_cast<std::uint8_t>(chip::CoreMode::Gated);
 
-    // --- Lifecycle / sync ----------------------------------------------
+    // --- Lifecycle ------------------------------------------------------
 
     /**
-     * Size the arrays and pull the full state from the chip. Called
-     * once per run, after the engine has settled the electrical and
-     * thermal networks.
+     * Size the arrays, pull the configuration from the chip and bind
+     * to its control loops. Called once per run, after the engine has
+     * settled the electrical and thermal networks and reset the
+     * clocks.
      *
      * @param exposure Per-core scenario path exposure.
      * @param steady_v Per-core steady-state voltages (droop
@@ -100,12 +97,6 @@ class EngineSoaState
      *  programming, speed/vulnerability factors) from the objects. */
     void loadConfig(chip::Chip &chip);
 
-    /** Re-pull control-loop dynamic state from the objects. */
-    void loadDynamic(chip::Chip &chip);
-
-    /** Push control-loop dynamic state back into the objects. */
-    void storeDynamic(chip::Chip &chip) const;
-
     /** Refresh the cached per-core temperatures (after a thermal
      *  step or a thermal fault edge). */
     void refreshTemps(chip::Chip &chip);
@@ -116,15 +107,6 @@ class EngineSoaState
     ATM_HOT_PATH(engine_step)
     void refreshCoreV(const chip::Chip &chip,
                       const std::vector<util::Amps> &branch_currents);
-
-    /**
-     * Reload from the chip after an observer callback and report
-     * whether the callback reconfigured anything. The caller must
-     * storeDynamic() before the callback; the reload then only
-     * differs from the pre-callback arrays if the observer mutated
-     * the chip (quarantine, fallback, re-entry, clock reset).
-     */
-    bool syncAfterDispatch(chip::Chip &chip);
 
     // --- Hot kernels ----------------------------------------------------
 
@@ -138,14 +120,16 @@ class EngineSoaState
     ATM_HOT_PATH(engine_step)
     void controlStepAll(double nowNs) noexcept
     {
+        chip::ControlLoops &loops = *loops_;
         const std::size_t n = mode_.size();
         for (std::size_t c = 0; c < n; ++c) {
             const double v = coreV_[c];
-            if (!vSlowValid_[c]) {
-                vSlow_[c] = v;
-                vSlowValid_[c] = 1;
+            if (!loops.vSlowValid[c]) {
+                loops.vSlow[c] = v;
+                loops.vSlowValid[c] = 1;
             } else {
-                vSlow_[c] += (v - vSlow_[c]) * chip::kVSlowTrackingAlpha;
+                loops.vSlow[c] +=
+                    (v - loops.vSlow[c]) * chip::kVSlowTrackingAlpha;
             }
             if (mode_[c] != kModeAtm)
                 continue;
@@ -155,10 +139,10 @@ class EngineSoaState
             const int margin = cpm::worstCountSoa(
                 siteNominal_.data() + c * siteCount_,
                 siteStuck_.data() + c * siteCount_,
-                static_cast<int>(siteCount_), dpll_.periodPs[c], f,
+                static_cast<int>(siteCount_), loops.dpll.periodPs[c], f,
                 chainStepPs_ * fs, chainLength_);
-            lastWorst_[c] = margin;
-            dpll_.observe(c, nowNs, margin);
+            loops.lastWorst[c] = margin;
+            loops.dpll.observe(c, nowNs, margin);
         }
     }
 
@@ -174,10 +158,12 @@ class EngineSoaState
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] double timingDeficitPs(std::size_t core) const noexcept
     {
+        const chip::ControlLoops &loops = *loops_;
         const double v = coreV_[core];
         double vEff = v;
-        if (vSlowValid_[core]) {
-            vEff = vSlow_[core] - (vSlow_[core] - v) * didtVuln_[core];
+        if (loops.vSlowValid[core]) {
+            vEff = loops.vSlow[core]
+                 - (loops.vSlow[core] - v) * didtVuln_[core];
             vEff = std::max(vEff, 0.6);
         }
         const double real =
@@ -189,12 +175,12 @@ class EngineSoaState
         return real - periodPs(core);
     }
 
-    /** Current clock period (AtmCore::periodPs over the arrays). */
+    /** Current clock period (chip::Chip::periodPs over the arrays). */
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] double periodPs(std::size_t core) const noexcept
     {
         if (mode_[core] == kModeAtm)
-            return dpll_.periodPs[core];
+            return loops_->dpll.periodPs[core];
         if (mode_[core] == kModeFixed)
             return fixedPeriodPs_[core];
         return gatedPeriodPs_;
@@ -234,15 +220,16 @@ class EngineSoaState
     }
     [[nodiscard]] int lastWorstCount(std::size_t core) const
     {
-        return lastWorst_[core];
+        return loops_->lastWorst[core];
     }
 
-    /** Total DPLL period adjustments so far (settling gate). */
-    [[nodiscard]] long dpllAdjustments() const { return dpll_.adjustments; }
+    /** Total DPLL period adjustments this run (settling gate). */
+    [[nodiscard]] long dpllAdjustments() const
+    {
+        return loops_->dpll.adjustments;
+    }
 
   private:
-    [[nodiscard]] bool differsFromShadow() const;
-
     // Per-core configuration (loadConfig).
     std::vector<std::uint8_t> mode_;
     std::vector<double> fixedPeriodPs_;
@@ -251,33 +238,14 @@ class EngineSoaState
     std::vector<double> siteNominal_; ///< cores x sites, row-major.
     std::vector<int> siteStuck_;      ///< cores x sites, -1 = healthy.
 
-    // Per-core control-loop dynamic state (loadDynamic/storeDynamic).
-    dpll::DpllBankSoa dpll_;
-    std::vector<double> vSlow_;
-    std::vector<std::uint8_t> vSlowValid_;
-    std::vector<int> lastWorst_;
+    // The chip's control loops, stepped in place.
+    chip::ControlLoops *loops_ = nullptr;
 
     // Per-core environment caches.
     std::vector<double> coreV_;
     std::vector<double> tempC_;
     std::vector<double> steadyV_;
     std::vector<double> basePathPs_; ///< realPathIdlePs + exposure.
-
-    // Shadows for syncAfterDispatch change detection.
-    std::vector<std::uint8_t> shadowMode_;
-    std::vector<double> shadowFixedPeriodPs_;
-    std::vector<double> shadowSpeedFactor_;
-    std::vector<double> shadowSiteNominal_;
-    std::vector<int> shadowSiteStuck_;
-    std::vector<double> shadowDpllPeriodPs_;
-    std::vector<double> shadowDpllLastUpdateNs_;
-    std::vector<double> shadowDpllLastEmergencyNs_;
-    std::vector<int> shadowDpllHeldMargin_;
-    std::vector<std::uint8_t> shadowDpllHeldValid_;
-    std::vector<std::uint8_t> shadowDpllDropout_;
-    std::vector<double> shadowVSlow_;
-    std::vector<std::uint8_t> shadowVSlowValid_;
-    std::vector<int> shadowLastWorst_;
 
     // Run constants.
     const circuit::DelayModel *model_ = nullptr;

@@ -48,7 +48,9 @@ wallTimestamp()
         % 1000;
     std::tm tm_utc{};
     gmtime_r(&secs, &tm_utc);
-    char buf[40];
+    // Sized for any int in every field, so -Wformat-truncation can
+    // prove the write fits.
+    char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                   tm_utc.tm_year + 1900, tm_utc.tm_mon + 1,

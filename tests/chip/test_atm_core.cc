@@ -69,8 +69,6 @@ TEST_F(AtmCoreTest, FixedModeIgnoresEnvironment)
     core_->setMode(CoreMode::FixedFrequency);
     core_->setFixedFrequencyMhz(Mhz{4200.0});
     EXPECT_DOUBLE_EQ(steadyMhz(1.18, 70.0), 4200.0);
-    EXPECT_DOUBLE_EQ(core_->frequencyMhz().value(),
-                     util::frequencyOf(core_->periodPs()).value());
 }
 
 TEST_F(AtmCoreTest, GatedModeReportsZeroSteady)

@@ -27,6 +27,60 @@ TEST_F(ChipTest, BasicShape)
     EXPECT_THROW(chip_.core(8), util::FatalError);
 }
 
+TEST_F(ChipTest, ResetClockStartsAtSteadyState)
+{
+    ControlLoops &loops = chip_.loops();
+    const Volts v{1.21};
+    const util::Celsius t{52.0};
+    loops.dpll.emergencies[2] = 5;
+    loops.dpll.slewUps[2] = 7;
+    loops.dpll.heldValid[2] = 1;
+    loops.lastWorst[2] = 9;
+    chip_.setSensorDropout(2);
+    const long resets = chip_.clockResets();
+
+    chip_.resetClock(2, v, t);
+    EXPECT_EQ(chip_.clockResets(), resets + 1);
+    EXPECT_DOUBLE_EQ(
+        chip_.periodPs(2).value(),
+        util::periodOf(chip_.core(2).steadyFrequencyMhz(v, t)).value());
+    EXPECT_EQ(chip_.emergencyCount(2), 0);
+    EXPECT_EQ(loops.dpll.slewUps[2], 0);
+    EXPECT_EQ(loops.dpll.heldValid[2], 0);
+    EXPECT_EQ(loops.lastWorst[2], -1);
+    EXPECT_DOUBLE_EQ(loops.vSlow[2], v.value());
+    EXPECT_EQ(loops.vSlowValid[2], 1);
+    EXPECT_TRUE(chip_.sensorDropout(2)) << "reset must keep the fault";
+
+    // A steady frequency above the DPLL's range starts at its bound.
+    chip_.core(2).setMode(CoreMode::FixedFrequency);
+    chip_.core(2).setFixedFrequencyMhz(Mhz{7000.0});
+    chip_.resetClock(2, v, t);
+    EXPECT_DOUBLE_EQ(loops.dpll.periodPs[2],
+                     chip_.config().dpllParams.minPeriod.value());
+    EXPECT_THROW(chip_.resetClock(8, v, t), util::FatalError);
+}
+
+TEST_F(ChipTest, ClockViewFollowsTheCoreMode)
+{
+    chip_.core(1).setMode(CoreMode::FixedFrequency);
+    chip_.core(1).setFixedFrequencyMhz(Mhz{4200.0});
+    EXPECT_DOUBLE_EQ(chip_.frequencyMhz(1).value(), 4200.0);
+    EXPECT_DOUBLE_EQ(chip_.frequencyMhz(1).value(),
+                     util::frequencyOf(chip_.periodPs(1)).value());
+    chip_.core(1).setMode(CoreMode::Gated);
+    EXPECT_NEAR(chip_.frequencyMhz(1).value(),
+                circuit::kPStateMinMhz.value(), 1e-9);
+}
+
+TEST(ChipConfigTest, RejectsBadDpllParams)
+{
+    ChipConfig config;
+    config.dpllParams.targetCounts = config.dpllParams.emergencyCounts;
+    EXPECT_THROW(Chip(variation::makeReferenceChip(0), config),
+                 util::FatalError);
+}
+
 TEST_F(ChipTest, IdleSteadyStateNearNominal)
 {
     const ChipSteadyState st = chip_.solveSteadyState();

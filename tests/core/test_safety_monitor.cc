@@ -20,8 +20,8 @@ class SafetyMonitorTest : public ::testing::Test
         for (int c = 0; c < chip_.coreCount(); ++c) {
             targets_.push_back(variation::referenceTargets(0, c).worst);
             chip_.core(c).setCpmReduction(util::CpmSteps{targets_.back()});
-            chip_.core(c).resetClock(circuit::kVddNominal,
-                                     chip_.thermal().coreTempC(c));
+            chip_.resetClock(c, circuit::kVddNominal,
+                             chip_.thermal().coreTempC(c));
         }
     }
 

@@ -22,10 +22,18 @@ oneLoop(double period_ps)
 
 TEST(Dpll, ResetSetsPeriod)
 {
-    Dpll dpll;
-    dpll.reset(Picoseconds{217.4});
-    EXPECT_DOUBLE_EQ(dpll.periodPs().value(), 217.4);
-    EXPECT_NEAR(dpll.frequencyMhz().value(), 4599.8, 0.5);
+    DpllBankSoa loop = oneLoop(220.0);
+    loop.observe(0, 0.0, 0); // emergency: counters and timers move
+    loop.dropouts[0] = 1;
+    loop.reset(0, Picoseconds{217.4});
+    EXPECT_DOUBLE_EQ(loop.periodPs[0], 217.4);
+    EXPECT_EQ(loop.emergencies[0], 0);
+    EXPECT_DOUBLE_EQ(loop.lastEmergencyNs[0], -1e18);
+    EXPECT_DOUBLE_EQ(loop.lastUpdateNs[0], -1e18);
+    EXPECT_EQ(loop.heldValid[0], 0);
+    EXPECT_EQ(loop.dropouts[0], 1) << "reset must keep the fault";
+    loop.reset(0, Picoseconds{100.0});
+    EXPECT_DOUBLE_EQ(loop.periodPs[0], loop.minPeriodPs);
 }
 
 TEST(Dpll, SpeedsUpOnSurplusMargin)
@@ -131,11 +139,12 @@ TEST(Dpll, RejectsBadParams)
     DpllParams params;
     params.targetCounts = 1;
     params.emergencyCounts = 1;
-    EXPECT_THROW(Dpll{params}, util::FatalError);
+    DpllBankSoa loops;
+    EXPECT_THROW(loops.resize(1, params), util::FatalError);
     DpllParams bounds;
     bounds.minPeriod = Picoseconds{500.0};
     bounds.maxPeriod = Picoseconds{400.0};
-    EXPECT_THROW(Dpll{bounds}, util::FatalError);
+    EXPECT_THROW(loops.resize(1, bounds), util::FatalError);
 }
 
 } // namespace

@@ -160,9 +160,24 @@ TEST_F(FaultInjectorTest, SensorDropoutTogglesDpll)
 {
     const FaultSpec spec = FaultSpec::parse("dropout:core=4");
     injector_.apply(spec);
-    EXPECT_TRUE(chip_.core(4).dpll().sensorDropout());
+    EXPECT_TRUE(chip_.sensorDropout(4));
     injector_.revert(spec);
-    EXPECT_FALSE(chip_.core(4).dpll().sensorDropout());
+    EXPECT_FALSE(chip_.sensorDropout(4));
+}
+
+TEST_F(FaultInjectorTest, OverlappingDropoutsNest)
+{
+    // Reverting the inner fault must leave the outer one in force.
+    const FaultSpec outer =
+        FaultSpec::parse("dropout:core=2,start=1,dur=6");
+    const FaultSpec inner =
+        FaultSpec::parse("dropout:core=2,start=2,dur=1");
+    injector_.apply(outer);
+    injector_.apply(inner);
+    injector_.revert(inner);
+    EXPECT_TRUE(chip_.sensorDropout(2));
+    injector_.revert(outer);
+    EXPECT_FALSE(chip_.sensorDropout(2));
 }
 
 TEST_F(FaultInjectorTest, VrmLoadStepAccumulates)
@@ -212,6 +227,25 @@ TEST_F(FaultInjectorTest, DroopStormIsResonantSquareWave)
     EXPECT_DOUBLE_EQ(injector_.stormCurrentA(3, 0.6 * period_ns), 0.0);
     EXPECT_DOUBLE_EQ(injector_.stormCurrentA(2, 0.1 * period_ns), 0.0);
     injector_.revert(spec);
+    EXPECT_FALSE(injector_.stormActive());
+}
+
+TEST_F(FaultInjectorTest, DroopStormRevertRemovesThatStorm)
+{
+    // Two storms on one core with the same start: reverting the short
+    // one must leave the long one flowing.
+    const FaultSpec longer =
+        FaultSpec::parse("droop-storm:core=1,start=1,dur=6,mag=1");
+    const FaultSpec shorter =
+        FaultSpec::parse("droop-storm:core=1,start=1,dur=2,mag=3");
+    injector_.apply(longer);
+    injector_.apply(shorter);
+    const double period_ns = 1e9 / chip_.pdn().params().resonanceHz();
+    const double burst_ns = longer.startNs() + 0.1 * period_ns;
+    EXPECT_DOUBLE_EQ(injector_.stormCurrentA(1, burst_ns), 4.0);
+    injector_.revert(shorter);
+    EXPECT_DOUBLE_EQ(injector_.stormCurrentA(1, burst_ns), 1.0);
+    injector_.revert(longer);
     EXPECT_FALSE(injector_.stormActive());
 }
 

@@ -34,8 +34,9 @@ TEST(HistogramLinear, BucketEdgesAreUniform)
     Histogram h = Histogram::linear(0.0, 10.0, 5);
     ASSERT_EQ(h.bucketCount(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_DOUBLE_EQ(h.bucketLo(i), 2.0 * i);
-        EXPECT_DOUBLE_EQ(h.bucketHi(i), 2.0 * (i + 1));
+        const double lo = 2.0 * static_cast<double>(i);
+        EXPECT_DOUBLE_EQ(h.bucketLo(i), lo);
+        EXPECT_DOUBLE_EQ(h.bucketHi(i), lo + 2.0);
     }
 }
 

@@ -140,6 +140,35 @@ TEST(EngineIdentity, SampledFastForwardsQuietRuns)
     EXPECT_LE(result.fastForwardedSteps, result.steps);
 }
 
+// The chip's control loops outlive a run. A sampled run on a chip
+// that has already run must still settle exactly as on a fresh chip:
+// the detector's DPLL-activity gate counts this run's adjustments
+// only. With every core at a fixed frequency the DPLLs never act, so
+// the first step of the second run is quiet only if the first run's
+// adjustments were forgotten.
+TEST(EngineIdentity, SampledRunOnReusedChipMatchesFreshChip)
+{
+    SimConfig config;
+    config.mode = EngineMode::Sampled;
+    config.seed = 7;
+    chip::Chip fresh(variation::makeReferenceChip(0));
+    chip::Chip reused(variation::makeReferenceChip(0));
+    const auto &x264 = workload::findWorkload("x264");
+    reused.assignWorkload(2, &x264);
+    SimEngine(&reused, config).run(2.0); // leaves DPLL activity behind
+    reused.clearAssignments();
+    for (chip::Chip *chip : {&fresh, &reused}) {
+        for (int c = 0; c < chip->coreCount(); ++c)
+            chip->core(c).setMode(chip::CoreMode::FixedFrequency);
+    }
+
+    const RunResult expected = SimEngine(&fresh, config).run(4.0);
+    const RunResult actual = SimEngine(&reused, config).run(4.0);
+    ASSERT_GT(expected.fastForwardedSteps, 0);
+    EXPECT_EQ(actual.fastForwardedSteps, expected.fastForwardedSteps);
+    EXPECT_EQ(digest(actual), digest(expected));
+}
+
 TEST(EngineIdentity, SampledStaysWithinOnePercent)
 {
     const auto run = [](EngineMode mode) {

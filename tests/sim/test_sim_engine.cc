@@ -310,7 +310,7 @@ TEST_F(SimEngineTest, PermanentFaultRevertedAtRunEnd)
     SimEngine engine(&chip_);
     engine.setCampaign(&campaign);
     engine.run(1.0);
-    EXPECT_FALSE(chip_.core(1).dpll().sensorDropout());
+    EXPECT_FALSE(chip_.sensorDropout(1));
 }
 
 TEST(FailureKinds, Printable)
