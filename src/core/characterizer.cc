@@ -1,6 +1,7 @@
 #include "core/characterizer.h"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -24,10 +25,70 @@ LimitDistribution::limit() const
     return static_cast<int>(maxSafe.minValue());
 }
 
+Characterizer::Tally &
+Characterizer::Tally::operator+=(const Tally &other)
+{
+    trials += other.trials;
+    unsafe += other.unsafe;
+    engineTrials += other.engineTrials;
+    cores += other.cores;
+    return *this;
+}
+
+class Characterizer::CallScope
+{
+  public:
+    explicit CallScope(Characterizer &owner)
+        : owner_(owner), exceptions_(std::uncaught_exceptions())
+    {
+        ++owner_.callDepth_;
+    }
+
+    CallScope(const CallScope &) = delete;
+    CallScope &operator=(const CallScope &) = delete;
+
+    // Registering a counter can throw; this never runs while unwinding.
+    ~CallScope() noexcept(false)
+    {
+        if (--owner_.callDepth_ > 0)
+            return;
+        if (std::uncaught_exceptions() > exceptions_)
+            owner_.tally_ = {};
+        else
+            owner_.flushTally();
+    }
+
+  private:
+    Characterizer &owner_;
+    int exceptions_;
+};
+
+void
+Characterizer::flushTally()
+{
+    if (obs_.metrics) {
+        const auto add = [this](obs::Counter *&handle, const char *name,
+                                long count) {
+            if (count == 0)
+                return;
+            if (!handle)
+                handle = &obs_.metrics->counter(name);
+            handle->inc(count);
+        };
+        add(handles_.trials, "characterizer.trials", tally_.trials);
+        add(handles_.unsafe, "characterizer.trials.unsafe", tally_.unsafe);
+        add(handles_.engineTrials, "characterizer.trials.engine",
+            tally_.engineTrials);
+        add(handles_.cores, "characterizer.cores", tally_.cores);
+    }
+    tally_ = {};
+}
+
 void
 Characterizer::setObservability(const obs::Observability &sinks)
 {
     obs_ = sinks;
+    handles_ = {};
     traceTrack_ =
         obs_.trace ? obs_.trace->track("characterizer") : -1;
 }
@@ -49,11 +110,18 @@ bool
 Characterizer::trialSafe(int core, int reduction,
                          const workload::WorkloadTraits &traits, int rep)
 {
+    CallScope scope(*this);
+    return runTrial(core, reduction, traits, rep);
+}
+
+bool
+Characterizer::runTrial(int core, int reduction,
+                        const workload::WorkloadTraits &traits, int rep)
+{
     const variation::CoreSiliconParams &silicon =
         chip_->core(core).silicon();
     const double noise = variation::runNoisePs(silicon, rep);
-    if (obs_.metrics)
-        obs_.metrics->counter("characterizer.trials").inc();
+    ++tally_.trials;
 
     if (config_.mode == CharacterizerConfig::Mode::Analytic) {
         const double extra = variation::scenarioExtraPs(
@@ -64,8 +132,8 @@ Characterizer::trialSafe(int core, int reduction,
             variation::analyticSafe(silicon, CpmSteps{reduction},
                                     Picoseconds{extra},
                                     Picoseconds{noise});
-        if (!safe && obs_.metrics)
-            obs_.metrics->counter("characterizer.trials.unsafe").inc();
+        if (!safe)
+            ++tally_.unsafe;
         return safe;
     }
 
@@ -91,8 +159,7 @@ Characterizer::trialSafe(int core, int reduction,
                     ^ static_cast<std::uint64_t>(rep);
     sim::SimEngine engine(chip_, sim_config);
     engine.setObservability(obs_);
-    if (obs_.metrics)
-        obs_.metrics->counter("characterizer.trials.engine").inc();
+    ++tally_.engineTrials;
     const sim::RunResult result = engine.run(config_.engineWindowUs);
 
     // Restore a neutral state.
@@ -101,10 +168,7 @@ Characterizer::trialSafe(int core, int reduction,
 
     for (const auto &ev : result.violations) {
         if (ev.core == core) {
-            if (obs_.metrics) {
-                obs_.metrics->counter("characterizer.trials.unsafe")
-                    .inc();
-            }
+            ++tally_.unsafe;
             return false;
         }
     }
@@ -119,9 +183,10 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
     // clocks), so each task gets a private clone; trials are
     // history-free, so a clone answers exactly like the shared chip.
     // Analytic trials only read silicon and share the chip.
-    const bool clone_chip =
-        config_.mode == CharacterizerConfig::Mode::Engine;
-    const bool shard_metrics = obs_.metrics != nullptr;
+    const bool engine = config_.mode == CharacterizerConfig::Mode::Engine;
+    // Only engine tasks record into a registry (their SimEngine's
+    // metrics); the characterizer's own counts travel as tallies.
+    const bool shard_metrics = engine && obs_.metrics != nullptr;
     // A run the pool executes inline (one job, or nested inside a pool
     // task) merges each shard as soon as its task returns: the same
     // merges in the same order, with one shard alive instead of
@@ -134,6 +199,7 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
     std::vector<std::unique_ptr<obs::MetricsRegistry>> shards(
         shard_metrics && !merge_each ? count : 0);
 
+    std::vector<Tally> tallies(count);
     std::vector<T> out(count);
     exec::parallelFor(
         count,
@@ -143,18 +209,21 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
             // a parallel region would depend on scheduling.
             task.obs_.trace = nullptr;
             task.traceTrack_ = -1;
+            // The task never flushes: its counts fold in below.
+            task.tally_ = {};
+            task.callDepth_ = 1;
             std::unique_ptr<chip::Chip> local;
-            if (clone_chip) {
+            if (engine) {
                 local = std::make_unique<chip::Chip>(
                     chip_->silicon(), chip_->config());
                 task.chip_ = local.get();
             }
             std::unique_ptr<obs::MetricsRegistry> shard;
-            if (shard_metrics) {
+            if (shard_metrics)
                 shard = std::make_unique<obs::MetricsRegistry>();
-                task.obs_.metrics = shard.get();
-            }
+            task.obs_.metrics = shard.get();
             out[i] = fn(task, i);
+            tallies[i] = task.tally_;
             if (merge_each)
                 obs_.metrics->mergeFrom(*shard);
             else if (shard)
@@ -166,6 +235,8 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
     // sums therefore group the same way at every job count.
     for (const auto &shard : shards)
         obs_.metrics->mergeFrom(*shard);
+    for (const Tally &tally : tallies)
+        tally_ += tally;
     return out;
 }
 
@@ -176,9 +247,9 @@ Characterizer::maxSafeScan(int core, const workload::WorkloadTraits &traits,
     // Find the largest safe reduction for this repeat. The search
     // either starts at 0 (idle characterization) or at the previous
     // scenario's limit and rolls back on failure (Sec. V-B).
-    if (!trialSafe(core, start, traits, rep)) {
+    if (!runTrial(core, start, traits, rep)) {
         int k = start;
-        while (k > 0 && !trialSafe(core, k, traits, rep))
+        while (k > 0 && !runTrial(core, k, traits, rep))
             --k;
         return k;
     }
@@ -189,7 +260,7 @@ int
 Characterizer::scanUp(int core, const workload::WorkloadTraits &traits,
                       int rep, int k, int cap)
 {
-    while (k < cap && trialSafe(core, k + 1, traits, rep))
+    while (k < cap && runTrial(core, k + 1, traits, rep))
         ++k;
     return k;
 }
@@ -199,6 +270,7 @@ Characterizer::scanFloor(
     int core, const std::vector<const workload::WorkloadTraits *> &marks,
     int cap)
 {
+    CallScope scope(*this);
     const auto reps = static_cast<std::size_t>(config_.reps);
     int lowest = cap;
     if (config_.mode == CharacterizerConfig::Mode::Analytic) {
@@ -227,6 +299,7 @@ Characterizer::scanFloor(
 LimitDistribution
 Characterizer::idleLimit(int core)
 {
+    CallScope scope(*this);
     const workload::WorkloadTraits &idle = workload::idleWorkload();
     const int ceiling = chip_->core(core).silicon().presetSteps;
     // Repeats are independent (the scan inside one repeat is not):
@@ -246,6 +319,7 @@ Characterizer::idleLimit(int core)
 LimitDistribution
 Characterizer::ubenchLimit(int core, int idle_limit)
 {
+    CallScope scope(*this);
     // Rolls back from the idle limit; uBench never explores above it
     // (the procedure only retreats under stress).
     LimitDistribution dist;
@@ -273,6 +347,7 @@ LimitDistribution
 Characterizer::appLimit(int core, int ubench_limit,
                         const workload::WorkloadTraits &app)
 {
+    CallScope scope(*this);
     LimitDistribution dist;
     for (int s : rollbackScans(core, ubench_limit, {&app}))
         dist.maxSafe.add(s);
@@ -283,6 +358,7 @@ double
 Characterizer::meanRollback(int core, int ubench_limit,
                             const workload::WorkloadTraits &app)
 {
+    CallScope scope(*this);
     // Fold in rep order: the double sum groups exactly like the old
     // sequential accumulation.
     double total = 0.0;
@@ -294,9 +370,9 @@ Characterizer::meanRollback(int core, int ubench_limit,
 CoreLimits
 Characterizer::characterizeCore(int core)
 {
+    CallScope scope(*this);
     obs::ScopedSpan span(obs_.trace, "characterize.core", traceTrack_);
-    if (obs_.metrics)
-        obs_.metrics->counter("characterizer.cores").inc();
+    ++tally_.cores;
     CoreLimits limits;
     const variation::CoreSiliconParams &silicon =
         chip_->core(core).silicon();
@@ -342,6 +418,7 @@ Characterizer::characterizeCore(int core)
 LimitTable
 Characterizer::characterizeChip()
 {
+    CallScope scope(*this);
     obs::ScopedSpan span(obs_.trace, "characterize.chip", traceTrack_);
     LimitTable table;
     table.chipName = chip_->name();
@@ -359,6 +436,7 @@ Characterizer::characterizeChip()
 RollbackMatrix
 Characterizer::rollbackMatrix(const LimitTable &table)
 {
+    CallScope scope(*this);
     RollbackMatrix matrix;
     const auto apps = workload::profiledApps();
     for (const auto *app : apps)

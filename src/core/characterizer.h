@@ -139,11 +139,46 @@ class Characterizer
      * Attach observability backends (none owned): trials tick
      * `characterizer.*` counters, per-core characterization runs
      * become trace spans, and engine-mode trials propagate the bundle
-     * into the spawned SimEngine.
+     * into the spawned SimEngine. The counters are kept as an integer
+     * tally and added to the registry when the outermost public call
+     * returns; a counter whose tally is zero is not created.
      */
     void setObservability(const obs::Observability &sinks);
 
   private:
+    /** Counts not yet added to obs_.metrics. */
+    struct Tally
+    {
+        long trials = 0;
+        long unsafe = 0;
+        long engineTrials = 0;
+        long cores = 0;
+
+        Tally &operator+=(const Tally &other);
+    };
+
+    /** Registry counters, resolved on their first nonzero flush. */
+    struct CounterHandles
+    {
+        obs::Counter *trials = nullptr;
+        obs::Counter *unsafe = nullptr;
+        obs::Counter *engineTrials = nullptr;
+        obs::Counter *cores = nullptr;
+    };
+
+    /**
+     * Marks a public call; the outermost one adds the tally to the
+     * registry when it returns (and drops it when it throws).
+     */
+    class CallScope;
+
+    /** trialSafe() without the call scope: the per-trial path. */
+    bool runTrial(int core, int reduction,
+                  const workload::WorkloadTraits &traits, int rep);
+
+    /** Add the tally to obs_.metrics (if attached) and zero it. */
+    void flushTally();
+
     /** Largest safe reduction for one repeat, scanning upward. */
     int maxSafeScan(int core, const workload::WorkloadTraits &traits,
                     int rep, int start, int ceiling);
@@ -162,12 +197,13 @@ class Characterizer
 
     /**
      * Deterministic parallel map over `count` independent tasks:
-     * out[i] = fn(task_characterizer, i), where each task runs on a
-     * private chip clone (engine mode) and records metrics into a
-     * private shard merged back in index order. The shard-and-merge
-     * route is taken at every job count -- including 1 -- so
-     * floating-point metric sums group identically regardless of
-     * --jobs.
+     * out[i] = fn(task_characterizer, i). Each task counts into a
+     * zeroed tally of its own, added to this one in index order
+     * afterwards. Engine-mode tasks also run on a private chip clone
+     * and record their SimEngine metrics into a private registry
+     * merged back in index order, at every job count -- including 1
+     * -- so floating-point metric sums group identically regardless
+     * of --jobs. Analytic tasks get no registry.
      */
     template <typename T, typename Fn>
     std::vector<T> shardedMap(std::size_t count, Fn &&fn);
@@ -177,6 +213,12 @@ class Characterizer
 
     obs::Observability obs_;
     int traceTrack_ = -1;
+
+    Tally tally_;
+    CounterHandles handles_;
+
+    /** Public calls in progress on this object. */
+    int callDepth_ = 0;
 };
 
 } // namespace atmsim::core

@@ -35,11 +35,13 @@ writeRunningStats(util::JsonWriter &json, const util::RunningStats &s)
 [[nodiscard]] util::RunningStats
 readRunningStats(const util::JsonValue &value)
 {
-    const auto n =
-        static_cast<std::size_t>(value.at("n").asLong());
+    const auto n = value.at("n").asLong();
+    if (n < 0)
+        util::fatal("population JSON: negative sample count ", n);
     if (n == 0)
         return {};
-    return util::RunningStats::fromState(n, value.at("mean").asDouble(),
+    return util::RunningStats::fromState(static_cast<std::size_t>(n),
+                                         value.at("mean").asDouble(),
                                          value.at("m2").asDouble(),
                                          value.at("min").asDouble(),
                                          value.at("max").asDouble());
@@ -67,8 +69,12 @@ readIntHistogram(const util::JsonValue &value)
         if (pair.size() != 2)
             util::fatal("population JSON: histogram item is not a "
                         "[value, count] pair");
+        const auto count = pair[1].asLong();
+        if (count < 0)
+            util::fatal("population JSON: negative histogram count ",
+                        count);
         h.add(static_cast<long>(pair[0].asLong()),
-              static_cast<std::size_t>(pair[1].asLong()));
+              static_cast<std::size_t>(count));
     }
     return h;
 }
@@ -185,6 +191,9 @@ studyShard(const PopulationConfig &config, int beginChip, int endChip,
                     config.chipCount, " chips");
     std::vector<ChipSummary> out;
     out.reserve(static_cast<std::size_t>(endChip - beginChip));
+    obs::Counter *chips_done = metrics && beginChip < endChip
+                                   ? &metrics->counter("fleet.chips_done")
+                                   : nullptr;
     for (int i = beginChip; i < endChip; ++i) {
         const std::string name = "POP" + std::to_string(i);
         chip::Chip chip(variation::generateChip(
@@ -199,8 +208,8 @@ studyShard(const PopulationConfig &config, int beginChip, int endChip,
         if (metrics)
             characterizer.setObservability({metrics, nullptr});
         out.push_back(summarizeChip(i, characterizer.characterizeChip()));
-        if (metrics)
-            metrics->counter("fleet.chips_done").inc();
+        if (chips_done)
+            chips_done->inc();
         if (chipDone)
             chipDone(i);
     }

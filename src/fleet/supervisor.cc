@@ -6,12 +6,14 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "fleet/checkpoint.h"
 #include "fleet/worker.h"
 #include "util/logging.h"
@@ -233,30 +235,77 @@ struct Fold
     }
 };
 
-/** Serial driver: same shard/fold path, no processes. */
+/** One in-process shard run: its result, or the error it threw. */
+struct ShardOutcome
+{
+    ShardResult result;
+    std::exception_ptr error;
+};
+
+/**
+ * In-process driver: same shard/fold path, no processes. Shards run
+ * in waves of up to `population.jobs` on the exec pool; each wave
+ * then completes, folds, checkpoints and halts one shard at a time in
+ * shard order, exactly as a serial loop over the shards does. A
+ * shard's error surfaces at its turn, after the shards before it.
+ */
 void
 runInProcess(const FleetConfig &config, Fold &fold, bool &halted)
 {
     if (config.failInject.enabled())
         util::warn("fleet: --fail-inject needs forked workers "
                    "(--workers >= 1); ignoring");
-    for (const ShardRange &shard : fold.shards) {
-        if (halted)
-            break;
-        if (fold.needsRun(shard.index)) {
-            obs::MetricsRegistry metrics;
-            ShardResult result;
-            result.shard = shard.index;
-            result.chips =
-                core::studyShard(config.population, shard.beginChip,
-                                 shard.endChip, &metrics, {});
-            result.metrics = metrics.snapshot();
-            fold.complete(std::move(result));
+    // Shards at or beyond a halt are never folded, so never run.
+    const long stop = config.haltAfterShards >= 0
+                          ? std::min(config.haltAfterShards,
+                                     fold.shardCount())
+                          : fold.shardCount();
+    const auto wave_size = static_cast<std::size_t>(
+        exec::resolveJobs(config.population.jobs));
+    long next = 0;
+    while (next < fold.shardCount() && !halted) {
+        // needsRun() of a shard not yet reached cannot change before
+        // its turn: the fold never decides past an unrun shard.
+        std::vector<long> wave;
+        for (long s = next; s < stop && wave.size() < wave_size; ++s) {
+            if (fold.needsRun(s))
+                wave.push_back(s);
         }
-        fold.advance();
-        fold.maybeCheckpoint(false);
-        if (fold.haltRequested())
-            halted = true;
+        std::vector<ShardOutcome> outcomes =
+            exec::parallelMap<ShardOutcome>(
+                wave.size(),
+                [&](std::size_t k) {
+                    const ShardRange &shard =
+                        fold.shards[static_cast<std::size_t>(wave[k])];
+                    ShardOutcome out;
+                    try {
+                        obs::MetricsRegistry metrics;
+                        out.result.shard = shard.index;
+                        out.result.chips = core::studyShard(
+                            config.population, shard.beginChip,
+                            shard.endChip, &metrics, {});
+                        out.result.metrics = metrics.snapshot();
+                    } catch (...) {
+                        out.error = std::current_exception();
+                    }
+                    return out;
+                },
+                config.population.jobs);
+        const long last = wave.empty() ? fold.shardCount() - 1
+                                       : wave.back();
+        std::size_t k = 0;
+        for (; next <= last && !halted; ++next) {
+            if (k < wave.size() && wave[k] == next) {
+                if (outcomes[k].error)
+                    std::rethrow_exception(outcomes[k].error);
+                fold.complete(std::move(outcomes[k].result));
+                ++k;
+            }
+            fold.advance();
+            fold.maybeCheckpoint(false);
+            if (fold.haltRequested())
+                halted = true;
+        }
     }
 }
 

@@ -139,14 +139,21 @@ VanDerCorput::VanDerCorput(std::uint64_t scramble) : scramble_(scramble) {}
 double
 VanDerCorput::at(std::uint64_t index) const
 {
-    // Bit-reverse the index and scale into [0, 1).
-    std::uint64_t bits = index + 1; // skip the degenerate 0 -> 0.0 mapping
-    std::uint64_t reversed = 0;
-    for (int i = 0; i < 64; ++i) {
-        reversed = (reversed << 1) | (bits & 1);
-        bits >>= 1;
-    }
-    reversed ^= scramble_;
+    // Bit-reverse the index by swapping ever-smaller halves, then
+    // scale into [0, 1). Straight-line code: every characterization
+    // trial draws one element.
+    const auto swap_blocks = [](std::uint64_t v, int shift,
+                                std::uint64_t mask) {
+        return ((v >> shift) & mask) | ((v & mask) << shift);
+    };
+    std::uint64_t r = index + 1; // skip the degenerate 0 -> 0.0 mapping
+    r = (r >> 32) | (r << 32);
+    r = swap_blocks(r, 16, 0x0000ffff0000ffffULL);
+    r = swap_blocks(r, 8, 0x00ff00ff00ff00ffULL);
+    r = swap_blocks(r, 4, 0x0f0f0f0f0f0f0f0fULL);
+    r = swap_blocks(r, 2, 0x3333333333333333ULL);
+    r = swap_blocks(r, 1, 0x5555555555555555ULL);
+    const std::uint64_t reversed = r ^ scramble_;
     return static_cast<double>(reversed >> 11) * 0x1.0p-53;
 }
 

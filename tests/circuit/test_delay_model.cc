@@ -2,14 +2,12 @@
 
 #include "circuit/constants.h"
 #include "circuit/delay_model.h"
-#include "circuit/path_delay.h"
 #include "util/logging.h"
 
 namespace atmsim::circuit {
 namespace {
 
 using util::Celsius;
-using util::Picoseconds;
 using util::Volts;
 
 class DelayModelTest : public ::testing::Test
@@ -97,22 +95,6 @@ TEST_F(DelayModelTest, RejectsBadFactorTarget)
 {
     EXPECT_THROW(model_.voltageForFactor(0.0, Celsius{45.0}),
                  util::FatalError);
-}
-
-TEST(PathDelay, ScalesWithAllFactors)
-{
-    const DelayModel model = DelayModel::makeDefault();
-    const PathDelay path(Picoseconds{200.0});
-    const Picoseconds nominal =
-        path.evaluate(model, kVddNominal, kTempNominal, 1.0);
-    EXPECT_NEAR(nominal.value(), 200.0, 1e-9);
-    // Slower silicon.
-    EXPECT_NEAR(
-        path.evaluate(model, kVddNominal, kTempNominal, 1.05).value(),
-        210.0, 1e-9);
-    // Lower voltage lengthens the path.
-    EXPECT_GT(path.evaluate(model, Volts{1.20}, kTempNominal, 1.0),
-              Picoseconds{200.0});
 }
 
 } // namespace

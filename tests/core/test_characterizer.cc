@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/characterizer.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
@@ -157,6 +158,72 @@ TEST(CharacterizerEngineTest, ScanFloorIsLowestFullScanAtEveryJobCount)
         config.jobs = jobs;
         Characterizer characterizer(&chip, config);
         EXPECT_EQ(characterizer.scanFloor(2, marks, cap), want)
+            << "jobs " << jobs;
+    }
+}
+
+/** A counter's value in the registry, or -1 when it has no entry. */
+long
+counterOrAbsent(const obs::MetricsRegistry &registry, const char *name)
+{
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const obs::MetricSnapshotEntry *entry = snap.find(name);
+    return entry ? entry->counter : -1;
+}
+
+TEST(CharacterizerCountersTest, DirectTrialIsCountedAtOnce)
+{
+    chip::Chip chip(variation::makeReferenceChip(0));
+    Characterizer characterizer(&chip);
+    obs::MetricsRegistry registry;
+    characterizer.setObservability({&registry, nullptr});
+    const auto &ferret = workload::findWorkload("ferret");
+    (void)characterizer.trialSafe(2, 1, ferret, 0);
+    EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials"), 1);
+    (void)characterizer.trialSafe(2, 2, ferret, 1);
+    EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials"), 2);
+}
+
+TEST(CharacterizerCountersTest, NoUnsafeTrialMeansNoUnsafeEntry)
+{
+    chip::Chip chip(variation::makeReferenceChip(0));
+    Characterizer characterizer(&chip);
+    obs::MetricsRegistry registry;
+    characterizer.setObservability({&registry, nullptr});
+    const auto &idle = workload::idleWorkload();
+    long trials = 0;
+    for (int c = 0; c < chip.coreCount(); ++c) {
+        for (int rep = 0; rep < characterizer.config().reps; ++rep) {
+            EXPECT_TRUE(characterizer.trialSafe(c, 0, idle, rep));
+            ++trials;
+        }
+    }
+    EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials"), trials);
+    EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials.unsafe"), -1);
+    EXPECT_EQ(counterOrAbsent(registry, "characterizer.cores"), -1);
+}
+
+TEST(CharacterizerCountersTest, ChipCountsArePinnedAtEveryJobCount)
+{
+    // Pinned: other counts mean the procedure ran other trials.
+    for (int jobs : {1, 4}) {
+        chip::Chip chip(variation::makeReferenceChip(0));
+        CharacterizerConfig config;
+        config.jobs = jobs;
+        Characterizer characterizer(&chip, config);
+        obs::MetricsRegistry registry;
+        characterizer.setObservability({&registry, nullptr});
+        (void)characterizer.characterizeChip();
+        EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials"), 3384)
+            << "jobs " << jobs;
+        EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials.unsafe"),
+                  1288)
+            << "jobs " << jobs;
+        EXPECT_EQ(counterOrAbsent(registry, "characterizer.cores"),
+                  chip.coreCount())
+            << "jobs " << jobs;
+        EXPECT_EQ(counterOrAbsent(registry, "characterizer.trials.engine"),
+                  -1)
             << "jobs " << jobs;
     }
 }

@@ -232,6 +232,41 @@ TEST(Checkpoint, StructuralViolationsAreCorrupt)
               CheckpointStatus::Corrupt);
 }
 
+TEST(Checkpoint, NegativeStatsCountsAreCorrupt)
+{
+    // A negative count must not wrap to a huge unsigned one and
+    // resume folding into garbage.
+    ScratchDir dir("negative");
+    saveCheckpoint(dir.path(), sampleData());
+    const std::string text = readFile(checkpointPath(dir.path()));
+    const std::size_t stats = text.find("\"stats\":");
+    ASSERT_NE(stats, std::string::npos);
+
+    // Welford sample count of a running-stats accumulator.
+    const std::string n_key = "\"idle_limit_mhz\":{\"n\":";
+    const std::size_t n_at = text.find(n_key, stats);
+    ASSERT_NE(n_at, std::string::npos);
+    std::string bad = text;
+    bad.insert(n_at + n_key.size(), "-");
+    writeFile(checkpointPath(dir.path()), bad);
+    CheckpointLoadResult loaded = loadCheckpoint(dir.path(), fingerprint());
+    EXPECT_EQ(loaded.status, CheckpointStatus::Corrupt);
+    EXPECT_NE(loaded.message.find("negative"), std::string::npos);
+
+    // Count of the first [value, count] pair of the idle histogram.
+    const std::size_t pair_at =
+        text.find("\"idle_limit_steps\":[[", stats);
+    ASSERT_NE(pair_at, std::string::npos);
+    const std::size_t comma = text.find(',', pair_at);
+    ASSERT_NE(comma, std::string::npos);
+    bad = text;
+    bad.insert(comma + 1, "-");
+    writeFile(checkpointPath(dir.path()), bad);
+    loaded = loadCheckpoint(dir.path(), fingerprint());
+    EXPECT_EQ(loaded.status, CheckpointStatus::Corrupt);
+    EXPECT_NE(loaded.message.find("negative"), std::string::npos);
+}
+
 TEST(Checkpoint, StatusNamesArePrintable)
 {
     EXPECT_STREQ(checkpointStatusName(CheckpointStatus::Loaded),

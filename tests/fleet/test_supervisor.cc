@@ -178,21 +178,28 @@ TEST(Supervisor, HaltAndResumeIsBitwiseExactAtEveryCut)
 {
     const std::string reference =
         resultDoc(runFleetCampaign(smallCampaign()));
-    for (const long cut : {1L, 2L}) {
-        ScratchDir dir("cut" + std::to_string(cut));
-        FleetConfig halted = smallCampaign();
-        halted.checkpointDir = dir.path();
-        halted.haltAfterShards = cut;
-        const FleetResult partial = runFleetCampaign(halted);
-        EXPECT_TRUE(partial.halted);
+    // The process default, and in-process shards in waves of 4.
+    for (const int jobs : {0, 4}) {
+        for (const long cut : {1L, 2L}) {
+            ScratchDir dir("cut" + std::to_string(cut));
+            FleetConfig halted = smallCampaign();
+            halted.population.jobs = jobs;
+            halted.checkpointDir = dir.path();
+            halted.haltAfterShards = cut;
+            const FleetResult partial = runFleetCampaign(halted);
+            EXPECT_TRUE(partial.halted);
+            EXPECT_EQ(partial.coverage.shardsCompleted, cut);
 
-        FleetConfig resumed = smallCampaign();
-        resumed.checkpointDir = dir.path();
-        resumed.resume = true;
-        const FleetResult full = runFleetCampaign(resumed);
-        EXPECT_FALSE(full.halted);
-        EXPECT_TRUE(full.coverage.resumed);
-        EXPECT_EQ(resultDoc(full), reference) << "cut at " << cut;
+            FleetConfig resumed = smallCampaign();
+            resumed.population.jobs = jobs;
+            resumed.checkpointDir = dir.path();
+            resumed.resume = true;
+            const FleetResult full = runFleetCampaign(resumed);
+            EXPECT_FALSE(full.halted);
+            EXPECT_TRUE(full.coverage.resumed);
+            EXPECT_EQ(resultDoc(full), reference)
+                << "jobs " << jobs << ", cut at " << cut;
+        }
     }
 }
 

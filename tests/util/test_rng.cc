@@ -189,6 +189,30 @@ TEST(VanDerCorput, NextMatchesAt)
         EXPECT_DOUBLE_EQ(a.next(), b.at(i));
 }
 
+TEST(VanDerCorput, MatchesBitByBitReversal)
+{
+    // Reference: reverse the bits one at a time.
+    const auto reference = [](std::uint64_t index, std::uint64_t scramble) {
+        std::uint64_t bits = index + 1;
+        std::uint64_t reversed = 0;
+        for (int i = 0; i < 64; ++i) {
+            reversed = (reversed << 1) | (bits & 1);
+            bits >>= 1;
+        }
+        reversed ^= scramble;
+        return static_cast<double>(reversed >> 11) * 0x1.0p-53;
+    };
+    for (std::uint64_t scramble : {0ull, 0x123456789abcdefull,
+                                   0xdeadbeefdeadbeefull}) {
+        const VanDerCorput seq(scramble);
+        for (std::uint64_t i = 0; i < 4096; ++i)
+            ASSERT_EQ(seq.at(i), reference(i, scramble)) << i;
+        for (std::uint64_t i : {0x00000000ffffffffull, 0x8000000000000000ull,
+                                0xfffffffffffffffeull, 0x0123456789abcdefull})
+            ASSERT_EQ(seq.at(i), reference(i, scramble)) << i;
+    }
+}
+
 TEST(VanDerCorput, ValuesInUnitInterval)
 {
     VanDerCorput seq(99);
