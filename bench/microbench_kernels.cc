@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "chip/chip.h"
+#include "circuit/constants.h"
 #include "core/characterizer.h"
 #include "core/manager.h"
+#include "core/safety_monitor.h"
 #include "exec/thread_pool.h"
 #include "sim/sim_engine.h"
 #include "variation/reference_chips.h"
@@ -179,6 +181,33 @@ BM_EngineStepMetrics(benchmark::State &state)
     chip.clearAssignments();
 }
 BENCHMARK(BM_EngineStepMetrics)->Unit(benchmark::kMicrosecond);
+
+void
+BM_SafetyMonitorOnSample(benchmark::State &state)
+{
+    // One stats-cadence monitor callback over the reference chip with
+    // every core in ATM at its deployed (thread-worst) reduction: the
+    // phantom-margin guard plus the stuck-sensor probe per core.
+    chip::Chip chip(variation::makeReferenceChip(0));
+    std::vector<int> targets;
+    for (int c = 0; c < chip.coreCount(); ++c) {
+        targets.push_back(variation::referenceTargets(0, c).worst);
+        chip.core(c).setCpmReduction(util::CpmSteps{targets.back()});
+        chip.resetClock(c, circuit::kVddNominal,
+                        chip.thermal().coreTempC(c));
+    }
+    core::SafetyMonitor monitor(&chip, targets);
+    const std::vector<sim::CoreSample> frame;
+    double now_ns = 0.0;
+    for (auto _ : state) {
+        now_ns += 100.0;
+        monitor.onSample(util::Nanoseconds{now_ns}, frame);
+    }
+    benchmark::DoNotOptimize(monitor.counters().anomalies);
+    if (monitor.counters().anomalies != 0)
+        state.SkipWithError("a healthy chip raised an anomaly");
+}
+BENCHMARK(BM_SafetyMonitorOnSample);
 
 void
 BM_SteadyStateSolve(benchmark::State &state)

@@ -111,27 +111,33 @@ Characterizer::trialSafe(int core, int reduction,
                          const workload::WorkloadTraits &traits, int rep)
 {
     CallScope scope(*this);
-    return runTrial(core, reduction, traits, rep);
+    return runTrial(core, reduction, trialInputs(core, traits, rep));
 }
 
-bool
-Characterizer::runTrial(int core, int reduction,
-                        const workload::WorkloadTraits &traits, int rep)
+Characterizer::TrialInputs
+Characterizer::trialInputs(int core, const workload::WorkloadTraits &traits,
+                           int rep) const
 {
     const variation::CoreSiliconParams &silicon =
         chip_->core(core).silicon();
-    const double noise = variation::runNoisePs(silicon, rep);
+    TrialInputs in{traits, rep, variation::runNoisePs(silicon, rep), 0.0};
+    if (config_.mode == CharacterizerConfig::Mode::Analytic) {
+        in.extraPs = variation::scenarioExtraPs(
+            silicon, chip::Chip::pathExposurePs(silicon, traits).value(),
+            traits.droopMv);
+    }
+    return in;
+}
+
+bool
+Characterizer::runTrial(int core, int reduction, const TrialInputs &in)
+{
     ++tally_.trials;
 
     if (config_.mode == CharacterizerConfig::Mode::Analytic) {
-        const double extra = variation::scenarioExtraPs(
-            silicon,
-            chip::Chip::pathExposurePs(silicon, traits).value(),
-            traits.droopMv);
-        const bool safe =
-            variation::analyticSafe(silicon, CpmSteps{reduction},
-                                    Picoseconds{extra},
-                                    Picoseconds{noise});
+        const bool safe = variation::analyticSafe(
+            chip_->core(core).silicon(), CpmSteps{reduction},
+            Picoseconds{in.extraPs}, Picoseconds{in.noisePs});
         if (!safe)
             ++tally_.unsafe;
         return safe;
@@ -142,21 +148,21 @@ Characterizer::runTrial(int core, int reduction,
     // the reduction, and race the control loop for a window.
     chip_->clearAssignments();
     const bool chip_wide =
-        traits.stress == workload::StressClass::Virus;
+        in.traits.stress == workload::StressClass::Virus;
     for (int c = 0; c < chip_->coreCount(); ++c) {
         chip_->core(c).setMode(chip::CoreMode::AtmOverclock);
         chip_->core(c).setCpmReduction(CpmSteps{0});
         if (chip_wide || c == core)
-            chip_->assignWorkload(c, &traits);
+            chip_->assignWorkload(c, &in.traits);
     }
     chip_->core(core).setCpmReduction(CpmSteps{reduction});
 
     sim::SimConfig sim_config;
-    sim_config.runNoisePs = noise;
+    sim_config.runNoisePs = in.noisePs;
     sim_config.seed = config_.seed
                     ^ (static_cast<std::uint64_t>(core) << 32)
                     ^ (static_cast<std::uint64_t>(reduction) << 16)
-                    ^ static_cast<std::uint64_t>(rep);
+                    ^ static_cast<std::uint64_t>(in.rep);
     sim::SimEngine engine(chip_, sim_config);
     engine.setObservability(obs_);
     ++tally_.engineTrials;
@@ -241,26 +247,25 @@ Characterizer::shardedMap(std::size_t count, Fn &&fn)
 }
 
 int
-Characterizer::maxSafeScan(int core, const workload::WorkloadTraits &traits,
-                           int rep, int start, int ceiling)
+Characterizer::maxSafeScan(int core, const TrialInputs &in, int start,
+                           int ceiling)
 {
     // Find the largest safe reduction for this repeat. The search
     // either starts at 0 (idle characterization) or at the previous
     // scenario's limit and rolls back on failure (Sec. V-B).
-    if (!runTrial(core, start, traits, rep)) {
+    if (!runTrial(core, start, in)) {
         int k = start;
-        while (k > 0 && !runTrial(core, k, traits, rep))
+        while (k > 0 && !runTrial(core, k, in))
             --k;
         return k;
     }
-    return scanUp(core, traits, rep, start, ceiling);
+    return scanUp(core, in, start, ceiling);
 }
 
 int
-Characterizer::scanUp(int core, const workload::WorkloadTraits &traits,
-                      int rep, int k, int cap)
+Characterizer::scanUp(int core, const TrialInputs &in, int k, int cap)
 {
-    while (k < cap && runTrial(core, k + 1, traits, rep))
+    while (k < cap && runTrial(core, k + 1, in))
         ++k;
     return k;
 }
@@ -278,8 +283,9 @@ Characterizer::scanFloor(
         // that stops there cannot change min(lowest, k).
         for (const workload::WorkloadTraits *mark : marks) {
             for (std::size_t rep = 0; rep < reps; ++rep) {
-                lowest = scanUp(core, *mark, static_cast<int>(rep), 0,
-                                lowest);
+                lowest = scanUp(
+                    core, trialInputs(core, *mark, static_cast<int>(rep)),
+                    0, lowest);
             }
         }
         return lowest;
@@ -288,8 +294,11 @@ Characterizer::scanFloor(
     // its own clone and the minimum folds afterwards.
     const std::vector<int> limits = shardedMap<int>(
         marks.size() * reps, [&](Characterizer &task, std::size_t i) {
-            return task.scanUp(core, *marks[i / reps],
-                               static_cast<int>(i % reps), 0, cap);
+            return task.scanUp(
+                core,
+                task.trialInputs(core, *marks[i / reps],
+                                 static_cast<int>(i % reps)),
+                0, cap);
         });
     for (int k : limits)
         lowest = std::min(lowest, k);
@@ -307,8 +316,9 @@ Characterizer::idleLimit(int core)
     const std::vector<int> safe = shardedMap<int>(
         static_cast<std::size_t>(config_.reps),
         [&](Characterizer &task, std::size_t rep) {
-            return task.maxSafeScan(core, idle, static_cast<int>(rep),
-                                    0, ceiling);
+            return task.maxSafeScan(
+                core, task.trialInputs(core, idle, static_cast<int>(rep)),
+                0, ceiling);
         });
     LimitDistribution dist;
     for (int s : safe)
@@ -337,9 +347,11 @@ Characterizer::rollbackScans(
     const auto reps = static_cast<std::size_t>(config_.reps);
     return shardedMap<int>(
         workloads.size() * reps, [&](Characterizer &task, std::size_t i) {
-            return task.maxSafeScan(core, *workloads[i / reps],
-                                    static_cast<int>(i % reps), limit,
-                                    limit);
+            return task.maxSafeScan(
+                core,
+                task.trialInputs(core, *workloads[i / reps],
+                                 static_cast<int>(i % reps)),
+                limit, limit);
         });
 }
 

@@ -172,20 +172,35 @@ class Characterizer
      */
     class CallScope;
 
+    /**
+     * What a trial needs besides the reduction. The run noise and the
+     * analytic scenario delay depend only on (core, traits, rep), so
+     * a scan computes them once and reuses them for every trial.
+     */
+    struct TrialInputs
+    {
+        const workload::WorkloadTraits &traits;
+        int rep;
+        double noisePs;  ///< variation::runNoisePs(silicon, rep).
+        double extraPs;  ///< variation::scenarioExtraPs (analytic only).
+    };
+
+    [[nodiscard]] TrialInputs
+    trialInputs(int core, const workload::WorkloadTraits &traits,
+                int rep) const;
+
     /** trialSafe() without the call scope: the per-trial path. */
-    bool runTrial(int core, int reduction,
-                  const workload::WorkloadTraits &traits, int rep);
+    bool runTrial(int core, int reduction, const TrialInputs &in);
 
     /** Add the tally to obs_.metrics (if attached) and zero it. */
     void flushTally();
 
     /** Largest safe reduction for one repeat, scanning upward. */
-    int maxSafeScan(int core, const workload::WorkloadTraits &traits,
-                    int rep, int start, int ceiling);
+    int maxSafeScan(int core, const TrialInputs &in, int start,
+                    int ceiling);
 
     /** Climb from a known-safe k while k + 1 is safe, up to cap. */
-    int scanUp(int core, const workload::WorkloadTraits &traits, int rep,
-               int k, int cap);
+    int scanUp(int core, const TrialInputs &in, int k, int cap);
 
     /**
      * maxSafeScan rolling back from `limit` (never above it) for every

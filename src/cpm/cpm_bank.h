@@ -81,16 +81,14 @@ class CpmBank
 };
 
 /**
- * Worst (minimum) output count across one core's bank this cycle --
- * the margin the DPLL acts on -- over the flattened site state from
- * exportSoa(). Per site, the same quantization as Cpm::outputCount:
+ * One site's output count over the flattened site state from
+ * exportSoa() -- the same quantization as Cpm::outputCount:
  * monitored = nominalSpeed * factor; slack = period - monitored;
  * count = floor(slack / (chainStep * factor * speed)), saturated at
  * the chain length, pinned while the site is stuck.
  *
- * @param nominal_speed   Per-site `nominalPs * speedFactor` array.
- * @param stuck_counts    Per-site pinned count, -1 while healthy.
- * @param site_count      Sites per core (>= 1).
+ * @param nominal_speed   The site's `nominalPs * speedFactor`.
+ * @param stuck_count     The site's pinned count, -1 while healthy.
  * @param periodPs        Clock period (raw ps).
  * @param delayFactor     DelayModel::factor(v, t) for this core.
  * @param effectiveStepPs Chain step delay scaled by
@@ -100,29 +98,71 @@ class CpmBank
  */
 ATM_HOT_PATH(engine_step)
 [[nodiscard]] inline int
+siteCountSoa(double nominal_speed, int stuck_count, double periodPs,
+             double delayFactor, double effectiveStepPs,
+             int chain_length) noexcept
+{
+    if (stuck_count >= 0)
+        return stuck_count;
+    const double slack = periodPs - nominal_speed * delayFactor;
+    if (slack <= 0.0)
+        return 0;
+    const int count = static_cast<int>(slack / effectiveStepPs);
+    return chain_length < count ? chain_length : count;
+}
+
+/**
+ * Worst (minimum) output count across one core's bank this cycle --
+ * the margin the DPLL acts on -- over the flattened site arrays from
+ * exportSoa(). See siteCountSoa for the per-site arithmetic and the
+ * remaining arguments.
+ *
+ * @param nominal_speed   Per-site `nominalPs * speedFactor` array.
+ * @param stuck_counts    Per-site pinned count, -1 while healthy.
+ * @param site_count      Sites per core (>= 1).
+ */
+ATM_HOT_PATH(engine_step)
+[[nodiscard]] inline int
 worstCountSoa(const double *nominal_speed, const int *stuck_counts,
               int site_count, double periodPs, double delayFactor,
               double effectiveStepPs, int chain_length) noexcept
 {
     int worst = 0;
     for (int s = 0; s < site_count; ++s) {
-        int count;
-        if (stuck_counts[s] >= 0) {
-            count = stuck_counts[s];
-        } else {
-            const double slack = periodPs - nominal_speed[s] * delayFactor;
-            if (slack <= 0.0) {
-                count = 0;
-            } else {
-                count = static_cast<int>(slack / effectiveStepPs);
-                if (chain_length < count)
-                    count = chain_length;
-            }
-        }
+        const int count =
+            siteCountSoa(nominal_speed[s], stuck_counts[s], periodPs,
+                         delayFactor, effectiveStepPs, chain_length);
         if (s == 0 || count < worst)
             worst = count;
     }
     return worst;
+}
+
+/**
+ * Stuck-sensor probe over the same arrays: true when any site reads
+ * the same count, above 0, at a longer period `slowPs` and a shorter
+ * period `fastPs`. A healthy quantizer loses counts when the probe
+ * removes enough slack; a pinned latch does not. Arguments as for
+ * worstCountSoa.
+ */
+ATM_HOT_PATH(engine_step)
+[[nodiscard]] inline bool
+probeInsensitiveSoa(const double *nominal_speed, const int *stuck_counts,
+                    int site_count, double slowPs, double fastPs,
+                    double delayFactor, double effectiveStepPs,
+                    int chain_length) noexcept
+{
+    for (int s = 0; s < site_count; ++s) {
+        const int slow =
+            siteCountSoa(nominal_speed[s], stuck_counts[s], slowPs,
+                         delayFactor, effectiveStepPs, chain_length);
+        const int fast =
+            siteCountSoa(nominal_speed[s], stuck_counts[s], fastPs,
+                         delayFactor, effectiveStepPs, chain_length);
+        if (slow == fast && slow > 0)
+            return true;
+    }
+    return false;
 }
 
 } // namespace atmsim::cpm

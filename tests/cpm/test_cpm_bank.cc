@@ -131,6 +131,65 @@ TEST_F(CpmBankTest, WorstCountIsSiteMinimum)
     EXPECT_EQ(site_min(Volts{1.25}), 0);
 }
 
+TEST_F(CpmBankTest, ProbeKernelMatchesPerSiteOutputCount)
+{
+    // The stuck-sensor probe over exported arrays must give the same
+    // verdict as per-site Cpm::outputCount at both probe periods.
+    CpmBank bank(&core_, model_.get());
+    bank.setReduction(CpmSteps{4});
+    const Celsius t{45.0};
+    const double step_ps = bank.site(0).chain().stepPs().value();
+    const int length = bank.site(0).chain().length();
+    const auto kernel = [&](Picoseconds slow, Picoseconds fast, Volts v) {
+        std::vector<double> nominal(bank.siteCount());
+        std::vector<int> stuck(bank.siteCount());
+        bank.exportSoa(nominal.data(), stuck.data());
+        const double f = model_->factor(v, t);
+        return probeInsensitiveSoa(
+            nominal.data(), stuck.data(), static_cast<int>(nominal.size()),
+            slow.value(), fast.value(), f,
+            step_ps * (f * core_.speedFactor), length);
+    };
+    const auto objects = [&](Picoseconds slow, Picoseconds fast, Volts v) {
+        for (int s = 0; s < static_cast<int>(bank.siteCount()); ++s) {
+            const int a = bank.site(s).outputCount(slow, v, t);
+            const int b = bank.site(s).outputCount(fast, v, t);
+            if (a == b && a > 0)
+                return true;
+        }
+        return false;
+    };
+    const Picoseconds loop = core_.atmPeriodPs(CpmSteps{4}, 1.0);
+    bool saw_saturated = false;
+    bool saw_negative = false;
+    const auto check = [&](const char *what) {
+        for (const double v : {1.25, 1.10}) {
+            for (const double scale : {0.3, 0.7, 1.0, 1.3, 2.0, 4.0}) {
+                const Picoseconds slow = loop * (scale * 1.05);
+                const Picoseconds fast = loop * (scale * 0.8);
+                EXPECT_EQ(kernel(slow, fast, Volts{v}),
+                          objects(slow, fast, Volts{v}))
+                    << what << " at " << v << " V, scale " << scale;
+                saw_saturated |=
+                    bank.site(0).outputCount(slow, Volts{v}, t) == length;
+                saw_negative |=
+                    bank.site(0).slackPs(fast, Volts{v}, t).value() < 0.0;
+            }
+        }
+    };
+    check("healthy");
+    EXPECT_TRUE(saw_saturated);
+    EXPECT_TRUE(saw_negative);
+    EXPECT_FALSE(kernel(loop * 1.05, loop * 0.8, Volts{1.25}));
+
+    bank.injectStuckOutput(2, 0);
+    check("stuck at 0");
+    bank.clearFaults();
+    bank.injectStuckOutput(2, 9);
+    check("stuck at 9");
+    EXPECT_TRUE(kernel(loop * 1.05, loop * 0.8, Volts{1.25}));
+}
+
 TEST_F(CpmBankTest, ReductionValidation)
 {
     CpmBank bank(&core_, model_.get());
