@@ -38,8 +38,13 @@ DelayModel::factor(Volts v, Celsius t) const
         util::fatal("supply voltage ", v.value(), " V at or below threshold ",
                     vth_.value(), " V");
     const double volt_part = raw(v.value()) / rawNominal_;
-    const double temp_part = 1.0 + tempCoeff_ * (t - tNominal_).value();
-    return volt_part * temp_part;
+    return volt_part * nominalSupplyFactor(t);
+}
+
+double
+DelayModel::nominalSupplyFactor(Celsius t) const
+{
+    return 1.0 + tempCoeff_ * (t - tNominal_).value();
 }
 
 double
@@ -49,8 +54,7 @@ DelayModel::dFactorDv(Volts v, Celsius t) const
     const double body = (v - vth_).value();
     const double draw = std::pow(body, -alpha_)
                       - alpha_ * v.value() * std::pow(body, -(alpha_ + 1.0));
-    const double temp_part = 1.0 + tempCoeff_ * (t - tNominal_).value();
-    return draw / rawNominal_ * temp_part;
+    return draw / rawNominal_ * nominalSupplyFactor(t);
 }
 
 double

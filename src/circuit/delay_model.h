@@ -45,6 +45,13 @@ class DelayModel
      */
     double factor(Volts v, Celsius t) const;
 
+    /**
+     * factor(vNominal(), t), bit for bit, without the alpha-power
+     * `pow`: at the normalization voltage the voltage term is
+     * raw / raw, exactly 1, which leaves the temperature term.
+     */
+    double nominalSupplyFactor(Celsius t) const;
+
     /** Partial derivative of factor() with respect to voltage (1/V). */
     double dFactorDv(Volts v, Celsius t) const;
 

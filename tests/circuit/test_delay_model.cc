@@ -21,6 +21,17 @@ TEST_F(DelayModelTest, UnityAtNominalPoint)
     EXPECT_NEAR(model_.factor(kVddNominal, kTempNominal), 1.0, 1e-12);
 }
 
+TEST_F(DelayModelTest, NominalSupplyFactorIsFactorAtNominalBitwise)
+{
+    // The safety monitor's phantom-margin bound relies on this being
+    // exact, not close: its verdicts feed the golden digests.
+    for (double t = -20.0; t <= 150.0; t += 0.37) {
+        EXPECT_EQ(model_.nominalSupplyFactor(Celsius{t}),
+                  model_.factor(model_.vNominal(), Celsius{t}))
+            << t << " C";
+    }
+}
+
 TEST_F(DelayModelTest, DelayGrowsAsVoltageDrops)
 {
     const double at_nominal = model_.factor(kVddNominal, kTempNominal);
