@@ -19,6 +19,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "circuit/constants.h"
 #include "core/safety_monitor.h"
 #include "core/stress_test.h"
 #include "fault/fault_campaign.h"
@@ -31,7 +32,8 @@ namespace {
 
 /** Replay a fault campaign against the deployed limit configuration. */
 void
-replayCampaign(const std::string &campaign_text, std::uint64_t seed,
+replayCampaign(const std::string &campaign_text,
+               fault::FaultCampaign &campaign, std::uint64_t seed,
                bench::BenchSession &session)
 {
     std::cout << "--- fault-campaign replay (seed " << seed << ") ---\n"
@@ -45,9 +47,6 @@ replayCampaign(const std::string &campaign_text, std::uint64_t seed,
             util::CpmSteps{limit.reductionPerCore[c]});
     }
 
-    fault::FaultCampaign campaign =
-        fault::FaultCampaign::parse(campaign_text);
-    campaign.validate(chip->coreCount());
     core::SafetyMonitor monitor(chip.get(), limit.reductionPerCore);
     monitor.setObservability(session.observability());
 
@@ -91,6 +90,12 @@ main(int argc, char **argv)
          {"--faults", &faults,
           "replay chip 0's limit configuration under this campaign"}});
     session.setSeed(seed);
+    // A bad campaign fails before any output.
+    fault::FaultCampaign campaign;
+    if (!faults.empty()) {
+        campaign = fault::FaultCampaign::parse(faults);
+        campaign.validate(circuit::kCoresPerChip);
+    }
 
     bench::banner("Figure 11",
                   "Post-stress-test core frequencies (MHz, idle "
@@ -136,7 +141,7 @@ main(int argc, char **argv)
 
     if (!faults.empty()) {
         std::cout << "\n";
-        replayCampaign(faults, seed, session);
+        replayCampaign(faults, campaign, seed, session);
     }
     return 0;
 }

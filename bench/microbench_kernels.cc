@@ -51,22 +51,13 @@ void
 BM_CpmBankWorstCount(benchmark::State &state)
 {
     // The engine's per-core CPM scan: one delay-factor evaluation,
-    // then cpm::worstCountSoa over the bank's exported site arrays.
+    // then CpmBank::worstCount over the bank's sites in place.
     chip::Chip &chip = referenceChip();
     const auto &bank = chip.core(0).cpmBank();
-    std::vector<double> nominal(bank.siteCount());
-    std::vector<int> stuck(bank.siteCount());
-    bank.exportSoa(nominal.data(), stuck.data());
-    const double speed = bank.core().speedFactor;
-    const double step_ps = bank.site(0).chain().stepPs().value();
-    const int length = bank.site(0).chain().length();
     for (auto _ : state) {
         const double f = chip.delayModel().factor(util::Volts{1.24},
                                                   util::Celsius{48.0});
-        benchmark::DoNotOptimize(cpm::worstCountSoa(
-            nominal.data(), stuck.data(),
-            static_cast<int>(nominal.size()), 217.4, f,
-            step_ps * (f * speed), length));
+        benchmark::DoNotOptimize(bank.worstCount(217.4, f));
     }
 }
 BENCHMARK(BM_CpmBankWorstCount);

@@ -17,12 +17,14 @@ coreModeName(CoreMode mode)
 }
 
 AtmCore::AtmCore(const variation::CoreSiliconParams *silicon,
-                 const circuit::DelayModel *model)
+                 const circuit::DelayModel *model,
+                 long *config_generation)
     : silicon_(silicon), model_(model), bank_(silicon, model),
-      fixedMhz_(circuit::kStaticMarginMhz)
+      fixedMhz_(circuit::kStaticMarginMhz), generation_(config_generation)
 {
-    if (!silicon || !model)
-        util::panic("AtmCore constructed with null silicon or model");
+    if (!silicon || !model || !config_generation)
+        util::panic("AtmCore constructed with null silicon, model or"
+                    " generation counter");
     bank_.setReduction(CpmSteps{0});
 }
 
@@ -30,6 +32,7 @@ void
 AtmCore::setMode(CoreMode mode)
 {
     mode_ = mode;
+    ++*generation_;
 }
 
 void
@@ -38,12 +41,14 @@ AtmCore::setFixedFrequencyMhz(Mhz f)
     if (f <= Mhz{0.0})
         util::fatal("fixed frequency must be positive, got ", f.value());
     fixedMhz_ = f;
+    ++*generation_;
 }
 
 void
 AtmCore::setCpmReduction(CpmSteps steps)
 {
     bank_.setReduction(steps);
+    ++*generation_;
 }
 
 Mhz

@@ -35,6 +35,8 @@ const char *coreModeName(CoreMode mode);
 /**
  * A core instance: silicon, CPM bank and configuration. The core's
  * DPLL and slow-rail state are per-core arrays owned by chip::Chip.
+ * The core is the only copy of its configuration: the engine's
+ * kernels read it in place.
  */
 class AtmCore
 {
@@ -43,14 +45,17 @@ class AtmCore
      * @param silicon Core silicon parameters (not owned; must outlive
      *        this core).
      * @param model Shared delay model (not owned).
+     * @param config_generation Counter every configuration setter
+     *        bumps (the owning chip's Chip::configGeneration; not
+     *        owned).
      */
     AtmCore(const variation::CoreSiliconParams *silicon,
-            const circuit::DelayModel *model);
+            const circuit::DelayModel *model, long *config_generation);
 
     /** Core name, e.g. "P0C3". */
     const std::string &name() const { return silicon_->name; }
 
-    // --- Configuration -------------------------------------------------
+    // --- Configuration (each setter bumps the chip's generation) ------
 
     /** Set the operating mode. */
     void setMode(CoreMode mode);
@@ -88,6 +93,7 @@ class AtmCore
     cpm::CpmBank bank_;
     CoreMode mode_ = CoreMode::AtmOverclock;
     Mhz fixedMhz_;
+    long *generation_;
 };
 
 } // namespace atmsim::chip

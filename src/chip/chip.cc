@@ -49,7 +49,8 @@ Chip::Chip(variation::ChipSilicon silicon, const ChipConfig &config)
     const std::size_t n = silicon_.cores.size();
     cores_.reserve(n);
     for (const auto &core_silicon : silicon_.cores)
-        cores_.emplace_back(&core_silicon, model_.get());
+        cores_.emplace_back(&core_silicon, model_.get(),
+                            &configGeneration_);
     loops_.dpll.resize(n, config.dpllParams);
     for (std::size_t c = 0; c < n; ++c)
         loops_.dpll.reset(c, util::periodOf(circuit::kDefaultAtmIdleMhz));
@@ -106,7 +107,7 @@ Chip::resetClock(int core_index, Volts v, Celsius t)
     loops_.vSlow[c] = v.value();
     loops_.vSlowValid[c] = 1;
     loops_.lastWorst[c] = -1;
-    ++clockResets_;
+    ++configGeneration_;
 }
 
 Picoseconds

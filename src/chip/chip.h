@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "chip/atm_core.h"
@@ -118,6 +119,9 @@ class Chip
     AtmCore &core(int index);
     const AtmCore &core(int index) const;
 
+    /** Every core in index order (the engine reads them in place). */
+    std::span<const AtmCore> cores() const { return cores_; }
+
     /** Per-core silicon. */
     const variation::ChipSilicon &silicon() const { return silicon_; }
 
@@ -137,15 +141,17 @@ class Chip
      * environment: the period of steadyFrequencyMhz(v, t), clamped to
      * the DPLL bounds, with the loop counters and held margin cleared
      * and the slow rail at `v`. Sensor dropouts are left untouched.
-     * The engine does this for every core at run start; an observer
-     * that reconfigures a core mid-run must do it too (see
-     * sim::EngineObserver).
+     * The engine does this for every core at run start.
      */
     void resetClock(int core_index, Volts v, Celsius t);
 
-    /** Clock resets since construction; the engine watches this to
-     *  notice observer reconfigurations. */
-    long clockResets() const { return clockResets_; }
+    /**
+     * Configuration generation: bumped by resetClock() and by every
+     * AtmCore setter (mode, fixed frequency, CPM reduction). The
+     * engine compares it across an observer dispatch to mark the
+     * reconfiguration as an edge for the steady-state detector.
+     */
+    long configGeneration() const { return configGeneration_; }
 
     /** Current clock period of a core (DPLL, fixed or gated). */
     Picoseconds periodPs(int core_index) const;
@@ -228,7 +234,7 @@ class Chip
     std::unique_ptr<circuit::DelayModel> model_;
     std::vector<AtmCore> cores_;
     ControlLoops loops_;
-    long clockResets_ = 0;
+    long configGeneration_ = 0;
     std::vector<CoreAssignment> assignments_;
     pdn::PdnNetwork pdn_;
     thermal::ThermalModel thermal_;

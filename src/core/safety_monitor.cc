@@ -62,14 +62,6 @@ SafetyMonitor::SafetyMonitor(chip::Chip *target,
         util::fatal("SafetyMonitor: probePeriodFrac must lie in (0, 0.25),"
                     " got ", config_.probePeriodFrac);
     cores_.resize(target_reductions.size());
-    // Every bank has the same sites and chain (as the engine's SoA
-    // state assumes).
-    const cpm::CpmBank &bank = chip_->core(0).cpmBank();
-    siteNominal_.resize(bank.siteCount());
-    siteStuck_.resize(bank.siteCount());
-    const circuit::InverterChain &chain = bank.site(0).chain();
-    chainStepPs_ = chain.stepPs().value();
-    chainLength_ = chain.length();
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         if (target_reductions[i] < 0)
             util::fatal("SafetyMonitor: negative target reduction for"
@@ -331,22 +323,17 @@ SafetyMonitor::onSample(util::Nanoseconds now,
         // long probe -- while a pinned latch reads the same at both.
         // Probes agreeing at zero (a deep droop eating all slack) are
         // excluded: a canary stuck at zero only drags the loop slow,
-        // a performance fault rather than a safety hazard. The sites
-        // are re-exported every sample: fault edges reprogram the
-        // bank behind the monitor's back.
+        // a performance fault rather than a safety hazard. The probe
+        // reads the bank in place, the engine's own quantizer, so
+        // fault edges need no refresh.
         const util::Picoseconds period = chip_->periodPs(core);
         const util::Picoseconds slow_ps =
             period * (1.0 + config_.probePeriodFrac);
         const util::Picoseconds fast_ps =
             period * (1.0 - 4.0 * config_.probePeriodFrac);
-        const cpm::CpmBank &bank = c.cpmBank();
-        bank.exportSoa(siteNominal_.data(), siteStuck_.data());
-        const double f = chip_->delayModel().factor(v, t_c);
-        const bool insensitive = cpm::probeInsensitiveSoa(
-            siteNominal_.data(), siteStuck_.data(),
-            static_cast<int>(bank.siteCount()), slow_ps.value(),
-            fast_ps.value(), f, chainStepPs_ * (f * speed), chainLength_);
-        if (insensitive) {
+        if (c.cpmBank().probeInsensitive(
+                slow_ps.value(), fast_ps.value(),
+                chip_->delayModel().factor(v, t_c))) {
             if (++cs.insensitiveSamples >= config_.stuckSampleWindow)
                 anomaly = true;
         } else {

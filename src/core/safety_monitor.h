@@ -165,13 +165,6 @@ class SafetyMonitor : public sim::EngineObserver
     std::vector<CoreState> cores_;
     sim::SafetyCounters counters_;
 
-    // Stuck-sensor probe buffers: one core's exported CPM sites,
-    // sized once at construction (onSample must not allocate).
-    std::vector<double> siteNominal_;
-    std::vector<int> siteStuck_;
-    double chainStepPs_ = 0.0;
-    int chainLength_ = 0;
-
     obs::Observability obs_;
     int traceTrack_ = -1;
 

@@ -90,12 +90,6 @@ Cpm::monitoredDelayPs(double delay_factor) const
     return Picoseconds{nominalPs_ * core_->speedFactor * delay_factor};
 }
 
-Picoseconds
-Cpm::slackPs(Picoseconds period, Volts v, Celsius t) const
-{
-    return period - monitoredDelayPs(v, t);
-}
-
 int
 Cpm::outputCount(Picoseconds period, Volts v, Celsius t) const
 {
@@ -126,10 +120,15 @@ Cpm::injectSkippedSegments(int segments)
 }
 
 void
-Cpm::clearFaults()
+Cpm::clearStuckOutput()
 {
     stuckActive_ = false;
     stuckCount_ = 0;
+}
+
+void
+Cpm::clearSkippedSegments()
+{
     skippedSegments_ = 0;
     refreshNominal();
 }

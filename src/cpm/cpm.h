@@ -73,9 +73,6 @@ class Cpm
      */
     Picoseconds monitoredDelayPs(double delay_factor) const;
 
-    /** Leftover slack within a clock period (may be negative). */
-    Picoseconds slackPs(Picoseconds period, Volts v, Celsius t) const;
-
     /**
      * The CPM's per-cycle integer output: the inverter count that
      * quantizes the slack.
@@ -102,13 +99,16 @@ class Cpm
      */
     void injectSkippedSegments(int segments);
 
-    /** Clear all injected faults. */
-    void clearFaults();
+    /** Release the pinned output (undo injectStuckOutput). */
+    void clearStuckOutput();
+
+    /** Restore the skipped segments (undo injectSkippedSegments). */
+    void clearSkippedSegments();
 
     /** True while any fault is injected. */
     bool faulted() const { return stuckActive_ || skippedSegments_ > 0; }
 
-    // --- SoA export ----------------------------------------------------
+    // --- Kernel view (CpmBank::worstCount) ------------------------------
 
     /** Cached zero-factor monitored delay (see nominalPs_). */
     double nominalPs() const { return nominalPs_; }
@@ -131,10 +131,11 @@ class Cpm
 
     /**
      * Cached `synthPathPs * synthScale_ + insertedDelayPs(effective)`.
-     * The sum only changes when the configuration or the fault state
-     * changes (setConfigSteps / injectSkippedSegments / clearFaults),
-     * yet the engine used to re-accumulate the segment vector every
-     * 0.2 ns electrical step on all five sites of every core.
+     * The sum only changes with the configuration or the skipped
+     * segments (setConfigSteps / injectSkippedSegments /
+     * clearSkippedSegments), yet the engine used to re-accumulate the
+     * segment vector every 0.2 ns electrical step on all five sites
+     * of every core.
      */
     double nominalPs_ = 0.0;
 

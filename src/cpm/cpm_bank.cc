@@ -9,7 +9,7 @@ namespace atmsim::cpm {
 
 CpmBank::CpmBank(const variation::CoreSiliconParams *core,
                  const circuit::DelayModel *model)
-    : core_(core), model_(model)
+    : core_(core)
 {
     if (!core)
         util::panic("CpmBank constructed with null core");
@@ -38,16 +38,6 @@ CpmBank::setReduction(CpmSteps steps)
     reduction_ = steps;
 }
 
-Picoseconds
-CpmBank::worstMonitoredDelayPs(Volts v, Celsius t) const
-{
-    const double f = model_->factor(v, t);
-    Picoseconds worst = sites_.front().monitoredDelayPs(f);
-    for (std::size_t s = 1; s < sites_.size(); ++s)
-        worst = std::max(worst, sites_[s].monitoredDelayPs(f));
-    return worst;
-}
-
 const Cpm &
 CpmBank::site(int index) const
 {
@@ -56,47 +46,36 @@ CpmBank::site(int index) const
     return sites_[static_cast<std::size_t>(index)];
 }
 
-void
-CpmBank::injectStuckOutput(int site, int count)
+Cpm &
+CpmBank::faultSite(int site)
 {
     if (site < 0 || site >= static_cast<int>(sites_.size()))
         util::fatal("CPM fault site ", site, " out of range");
-    sites_[static_cast<std::size_t>(site)].injectStuckOutput(count);
+    return sites_[static_cast<std::size_t>(site)];
+}
+
+void
+CpmBank::injectStuckOutput(int site, int count)
+{
+    faultSite(site).injectStuckOutput(count);
 }
 
 void
 CpmBank::injectSkippedSegments(int site, int segments)
 {
-    if (site < 0 || site >= static_cast<int>(sites_.size()))
-        util::fatal("CPM fault site ", site, " out of range");
-    sites_[static_cast<std::size_t>(site)].injectSkippedSegments(segments);
+    faultSite(site).injectSkippedSegments(segments);
 }
 
 void
-CpmBank::clearFaults()
+CpmBank::clearStuckOutput(int site)
 {
-    for (auto &s : sites_)
-        s.clearFaults();
+    faultSite(site).clearStuckOutput();
 }
 
 void
-CpmBank::exportSoa(double *nominal_speed, int *stuck_counts) const
+CpmBank::clearSkippedSegments(int site)
 {
-    for (std::size_t s = 0; s < sites_.size(); ++s) {
-        nominal_speed[s] = sites_[s].nominalPs() * core_->speedFactor;
-        stuck_counts[s] =
-            sites_[s].stuckActive() ? sites_[s].stuckOutputCount() : -1;
-    }
-}
-
-bool
-CpmBank::anyFaulted() const
-{
-    for (const auto &s : sites_) {
-        if (s.faulted())
-            return true;
-    }
-    return false;
+    faultSite(site).clearSkippedSegments();
 }
 
 } // namespace atmsim::cpm

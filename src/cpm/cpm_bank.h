@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "cpm/cpm.h"
@@ -37,9 +39,6 @@ class CpmBank
     /** Current reduction from the preset. */
     CpmSteps reduction() const { return reduction_; }
 
-    /** Largest monitored delay across the bank (controlling site). */
-    Picoseconds worstMonitoredDelayPs(Volts v, Celsius t) const;
-
     /** Access a site. */
     const Cpm &site(int index) const;
     std::size_t siteCount() const { return sites_.size(); }
@@ -52,117 +51,102 @@ class CpmBank
     /** Make one site skip enabled inserted-delay segments. */
     void injectSkippedSegments(int site, int segments);
 
-    /** Clear injected faults on every site. */
-    void clearFaults();
+    /** Release one site's pinned output; its skipped segments stay. */
+    void clearStuckOutput(int site);
 
-    /** True while any site carries an injected fault. */
-    bool anyFaulted() const;
+    /** Restore one site's skipped segments; a pinned output stays. */
+    void clearSkippedSegments(int site);
 
-    const variation::CoreSiliconParams &core() const { return *core_; }
-
-    // --- SoA export ----------------------------------------------------
+    // --- Engine kernels ------------------------------------------------
 
     /**
-     * Flatten the bank for the engine's SoA kernels: per site, the
-     * speed-scaled nominal delay (`Cpm::nominalPs() * speedFactor`,
-     * the product Cpm::monitoredDelayPs forms) and the pinned output
-     * count (-1 while the site is healthy, the stuck count while
-     * faulted). Both output arrays receive siteCount() entries. Must
-     * be re-exported after setReduction, fault injection, or an aging
-     * jump.
+     * Worst (minimum) output count across the bank this cycle -- the
+     * margin the DPLL acts on. Every site quantizes as
+     * Cpm::outputCount does, given the core's DelayModel::factor(v, t)
+     * for this cycle. The sites and the silicon speed factor are read
+     * in place, so reprogramming, fault injection and aging need no
+     * refresh.
+     *
+     * @param periodPs    Clock period (raw ps).
+     * @param delayFactor DelayModel::factor(v, t) for this core.
      */
-    void exportSoa(double *nominal_speed, int *stuck_counts) const;
+    ATM_HOT_PATH(engine_step)
+    [[nodiscard]] int worstCount(double periodPs,
+                                 double delayFactor) const noexcept
+    {
+        const Scale scale = scaleAt(delayFactor);
+        int worst = std::numeric_limits<int>::max();
+        for (const Cpm &site : sites_)
+            worst = std::min(worst, outputOf(site, periodPs, scale));
+        return worst;
+    }
+
+    /**
+     * Stuck-sensor probe: true when any site reads the same count,
+     * above 0, at a longer period `slowPs` and a shorter period
+     * `fastPs`. A healthy quantizer loses counts when the probe
+     * removes enough slack; a pinned latch does not. Arguments as for
+     * worstCount.
+     */
+    ATM_HOT_PATH(engine_step)
+    [[nodiscard]] bool probeInsensitive(double slowPs, double fastPs,
+                                        double delayFactor) const noexcept
+    {
+        const Scale scale = scaleAt(delayFactor);
+        for (const Cpm &site : sites_) {
+            const int slow = outputOf(site, slowPs, scale);
+            const int fast = outputOf(site, fastPs, scale);
+            if (slow == fast && slow > 0)
+                return true;
+        }
+        return false;
+    }
 
   private:
+    /** A site for fault injection; fatal() if out of range. */
+    Cpm &faultSite(int site);
+
+    /** This cycle's per-core quantizer inputs. */
+    struct Scale
+    {
+        double delayFactor;
+        double speed;           ///< Silicon speed factor.
+        double effectiveStepPs; ///< Chain step * (delayFactor * speed).
+        int chainLength;
+    };
+
+    /** Every site quantizes with the same chain (Cpm's constructor). */
+    [[nodiscard]] Scale scaleAt(double delayFactor) const noexcept
+    {
+        const double speed = core_->speedFactor;
+        const circuit::InverterChain &chain = sites_.front().chain();
+        return {delayFactor, speed,
+                chain.stepPs().value() * (delayFactor * speed),
+                chain.length()};
+    }
+
+    /**
+     * One site's output count, with Cpm::outputCount's association:
+     * monitored = (nominal * speed) * factor, and the slack is
+     * quantized in steps of the scaled chain step, saturating at the
+     * chain length.
+     */
+    [[nodiscard]] static int outputOf(const Cpm &site, double periodPs,
+                                      const Scale &scale) noexcept
+    {
+        if (site.stuckActive())
+            return site.stuckOutputCount();
+        const double slack =
+            periodPs - site.nominalPs() * scale.speed * scale.delayFactor;
+        if (slack <= 0.0)
+            return 0;
+        const int count = static_cast<int>(slack / scale.effectiveStepPs);
+        return std::min(count, scale.chainLength);
+    }
+
     const variation::CoreSiliconParams *core_;
-    const circuit::DelayModel *model_;
     std::vector<Cpm> sites_;
     CpmSteps reduction_{0};
 };
-
-/**
- * One site's output count over the flattened site state from
- * exportSoa() -- the same quantization as Cpm::outputCount:
- * monitored = nominalSpeed * factor; slack = period - monitored;
- * count = floor(slack / (chainStep * factor * speed)), saturated at
- * the chain length, pinned while the site is stuck.
- *
- * @param nominal_speed   The site's `nominalPs * speedFactor`.
- * @param stuck_count     The site's pinned count, -1 while healthy.
- * @param periodPs        Clock period (raw ps).
- * @param delayFactor     DelayModel::factor(v, t) for this core.
- * @param effectiveStepPs Chain step delay scaled by
- *                        `delayFactor * speedFactor` -- constant
- *                        across the sites of a core, hoisted out.
- * @param chain_length    Quantizer saturation count.
- */
-ATM_HOT_PATH(engine_step)
-[[nodiscard]] inline int
-siteCountSoa(double nominal_speed, int stuck_count, double periodPs,
-             double delayFactor, double effectiveStepPs,
-             int chain_length) noexcept
-{
-    if (stuck_count >= 0)
-        return stuck_count;
-    const double slack = periodPs - nominal_speed * delayFactor;
-    if (slack <= 0.0)
-        return 0;
-    const int count = static_cast<int>(slack / effectiveStepPs);
-    return chain_length < count ? chain_length : count;
-}
-
-/**
- * Worst (minimum) output count across one core's bank this cycle --
- * the margin the DPLL acts on -- over the flattened site arrays from
- * exportSoa(). See siteCountSoa for the per-site arithmetic and the
- * remaining arguments.
- *
- * @param nominal_speed   Per-site `nominalPs * speedFactor` array.
- * @param stuck_counts    Per-site pinned count, -1 while healthy.
- * @param site_count      Sites per core (>= 1).
- */
-ATM_HOT_PATH(engine_step)
-[[nodiscard]] inline int
-worstCountSoa(const double *nominal_speed, const int *stuck_counts,
-              int site_count, double periodPs, double delayFactor,
-              double effectiveStepPs, int chain_length) noexcept
-{
-    int worst = 0;
-    for (int s = 0; s < site_count; ++s) {
-        const int count =
-            siteCountSoa(nominal_speed[s], stuck_counts[s], periodPs,
-                         delayFactor, effectiveStepPs, chain_length);
-        if (s == 0 || count < worst)
-            worst = count;
-    }
-    return worst;
-}
-
-/**
- * Stuck-sensor probe over the same arrays: true when any site reads
- * the same count, above 0, at a longer period `slowPs` and a shorter
- * period `fastPs`. A healthy quantizer loses counts when the probe
- * removes enough slack; a pinned latch does not. Arguments as for
- * worstCountSoa.
- */
-ATM_HOT_PATH(engine_step)
-[[nodiscard]] inline bool
-probeInsensitiveSoa(const double *nominal_speed, const int *stuck_counts,
-                    int site_count, double slowPs, double fastPs,
-                    double delayFactor, double effectiveStepPs,
-                    int chain_length) noexcept
-{
-    for (int s = 0; s < site_count; ++s) {
-        const int slow =
-            siteCountSoa(nominal_speed[s], stuck_counts[s], slowPs,
-                         delayFactor, effectiveStepPs, chain_length);
-        const int fast =
-            siteCountSoa(nominal_speed[s], stuck_counts[s], fastPs,
-                         delayFactor, effectiveStepPs, chain_length);
-        if (slow == fast && slow > 0)
-            return true;
-    }
-    return false;
-}
 
 } // namespace atmsim::cpm

@@ -55,8 +55,10 @@ FaultInjector::revert(const FaultSpec &spec)
 {
     switch (spec.kind) {
       case FaultKind::CpmStuckAt:
+        chip_->core(spec.core).cpmBank().clearStuckOutput(spec.site);
+        break;
       case FaultKind::CpmSkippedStep:
-        chip_->core(spec.core).cpmBank().clearFaults();
+        chip_->core(spec.core).cpmBank().clearSkippedSegments(spec.site);
         break;
       case FaultKind::SensorDropout:
         chip_->clearSensorDropout(spec.core);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 
+#include "circuit/constants.h"
 #include "util/logging.h"
 #include "util/parse.h"
 
@@ -83,10 +84,15 @@ FaultSpec::validate(int core_count) const
     switch (kind) {
       case FaultKind::CpmStuckAt:
       case FaultKind::CpmSkippedStep:
-        if (site < 0)
-            util::fatal("CPM fault site must be non-negative");
-        if (magnitude < 0.0)
-            util::fatal("CPM fault magnitude must be non-negative");
+        if (site < 0 || site >= circuit::kCpmSitesPerCore)
+            util::fatal("CPM fault site ", site, " out of range [0, ",
+                        circuit::kCpmSitesPerCore, ")");
+        // The injector truncates the magnitude to an int count.
+        if (magnitude < 0.0
+            || magnitude > std::numeric_limits<int>::max())
+            util::fatal("CPM fault magnitude must lie in [0, ",
+                        std::numeric_limits<int>::max(), "], got ",
+                        magnitude);
         break;
       case FaultKind::SensorDropout:
         break;

@@ -54,13 +54,18 @@ FaultKind faultKindFromName(const std::string &name);
  * One armed fault: what breaks, where, when, for how long, how badly.
  *
  * The magnitude is kind-specific:
- *  - CpmStuckAt: the pinned output count (counts).
- *  - CpmSkippedStep: segments the chain skips (steps).
+ *  - CpmStuckAt: the pinned output count (counts, truncated to int).
+ *  - CpmSkippedStep: segments the chain skips (steps, truncated).
  *  - SensorDropout: unused.
  *  - VrmLoadStep: parasitic grid current (A).
  *  - DroopStorm: burst current amplitude at the core (A).
  *  - AgingJump: fractional slowdown, e.g. 0.02 for 2% slower.
  *  - ThermalExcursion: junction-temperature offset (degC).
+ *
+ * Reverting a CPM fault undoes that kind on that site alone. Two
+ * faults of the same kind on the same site do not stack: the later
+ * one overwrites the earlier, and the first of their reverts clears
+ * the fault.
  */
 struct FaultSpec
 {

@@ -30,16 +30,9 @@ struct CoreSample
  * Runtime observer interface: telemetry recorders and supervisors
  * implement this to watch an engine run and (for supervisors) react
  * to it. The engine never owns its observers; several can be
- * attached to one run.
- *
- * Reconfiguration contract: an observer that changes a core's mode,
- * fixed frequency or CPM reduction mid-run restarts that core's
- * clock with chip::Chip::resetClock in the same callback. The engine
- * caches core configuration and reloads it only when a dispatch moved
- * the chip's clock-reset count, so a reconfiguration made without a
- * reset is not seen until the next fault edge. Clock state itself
- * (chip::Chip::periodPs and friends) is the engine's live state and
- * always current.
+ * attached to one run. An observer may reconfigure cores or restart
+ * their clocks; the engine reads the chip in place, so the change
+ * takes effect at once.
  */
 class EngineObserver
 {

@@ -174,22 +174,6 @@ makeEngineProfiler(bool wants_wall_clock)
 }
 
 /**
- * After an observer dispatch: an observer that reconfigured a core
- * restarted its clock (the EngineObserver contract), so a moved reset
- * count means the cached configuration is stale. Reload it and report
- * the reconfiguration.
- */
-ATM_HOT_PATH(engine_step)
-bool
-reloadIfReset(chip::Chip &chip, EngineSoaState &soa, long resets_before)
-{
-    if (chip.clockResets() == resets_before)
-        return false;
-    soa.loadConfig(chip);
-    return true;
-}
-
-/**
  * First step index whose simulation time is at or past `timeNs`.
  * Sentinel times (+inf, the generators' 1e30 "nothing scheduled")
  * map to a huge-but-overflow-safe index instead of tripping the
@@ -642,16 +626,16 @@ SimEngine::run(double duration_us)
     for (; step < scratch.totalSteps; ++step) {
         const double now_ns = static_cast<double>(step) * config_.dtNs;
 
-        // True when anything this step reconfigured the chip outside
-        // the arrays (fault edge, observer action): kills the quiet
-        // streak in sampled mode.
+        // True when anything this step reconfigured the chip (fault
+        // edge, observer action): kills the quiet streak in sampled
+        // mode.
         bool config_edge = false;
 
         // Fire and expire armed faults. The scan is skipped entirely
         // until simulation time reaches the next known edge -- a
         // campaign's effects happen only at edges, so the gate is
-        // behavior-preserving. The injector reconfigures the chip
-        // objects, so the configuration and temperatures are reloaded
+        // behavior-preserving. The kernels read the reconfigured
+        // cores in place; only the cached temperatures are refreshed
         // after.
         if (campaign_ && now_ns >= scratch.nextFaultEdgeNs) {
             t0 = profiler.begin();
@@ -690,7 +674,6 @@ SimEngine::run(double duration_us)
                 }
             }
             scratch.nextFaultEdgeNs = campaign_->nextEdgeNs();
-            soa.loadConfig(chip);
             soa.refreshTemps(chip);
             config_edge = true;
             profiler.end(kPhaseFaults, t0);
@@ -761,8 +744,8 @@ SimEngine::run(double duration_us)
         // counted once per episode: contiguous violating steps are one
         // event, and the episode ends when the core meets timing again
         // (gated cores always do). A monitor that reconfigures a core
-        // (quarantine, fallback) restarts its clock, and the
-        // configuration is reloaded before the next core's check.
+        // (quarantine, fallback) moves the chip's configuration
+        // generation, which marks the step as a configuration edge.
         t0 = profiler.begin();
         bool violated = false;
         for (int c = 0; c < n; ++c) {
@@ -786,9 +769,9 @@ SimEngine::run(double duration_us)
                     : u < 0.8 ? FailureKind::AbnormalExit
                               : FailureKind::SilentDataCorruption;
             if (have_observers) {
-                const long resets = chip.clockResets();
+                const long generation = chip.configGeneration();
                 dispatchViolation(ev);
-                if (reloadIfReset(chip, soa, resets))
+                if (chip.configGeneration() != generation)
                     config_edge = true;
             }
             if (ev.detected) {
@@ -838,9 +821,9 @@ SimEngine::run(double duration_us)
             t0 = profiler.begin();
             foldStats(ctx, now_ns);
             if (have_observers) {
-                const long resets = chip.clockResets();
+                const long generation = chip.configGeneration();
                 dispatchSample(Nanoseconds{now_ns}, scratch.frame);
-                if (reloadIfReset(chip, soa, resets))
+                if (chip.configGeneration() != generation)
                     config_edge = true;
             }
             profiler.end(kPhaseStats, t0);
@@ -1017,9 +1000,9 @@ SimEngine::fastForwardSoa(SoaCtx &ctx, long from_step, long to_step)
             // counts and table means are unaffected. EXPERIMENTS.md
             // documents this as part of the sampled-mode envelope.
             if (have_observers && s % slow == 0) {
-                const long resets = chip.clockResets();
+                const long generation = chip.configGeneration();
                 dispatchSample(Nanoseconds{now_ns}, scratch.frame);
-                if (reloadIfReset(chip, soa, resets))
+                if (chip.configGeneration() != generation)
                     wake = true;
             }
             ctx.profiler.end(kPhaseStats, t0);

@@ -16,24 +16,15 @@ EngineSoaState::build(chip::Chip &chip,
     if (exposure.size() != n || steady_v.size() != n)
         util::panic("SoA build: per-core input size mismatch");
 
-    const cpm::CpmBank &bank = chip.core(0).cpmBank();
-    siteCount_ = bank.siteCount();
-    chainStepPs_ = bank.site(0).chain().stepPs().value();
-    chainLength_ = bank.site(0).chain().length();
     model_ = &chip.delayModel();
     noisePs_ = noisePs;
     gatedPeriodPs_ = util::periodOf(circuit::kPStateMinMhz).value();
 
-    mode_.assign(n, 0);
-    fixedPeriodPs_.assign(n, 0.0);
-    speedFactor_.assign(n, 1.0);
-    didtVuln_.assign(n, 0.0);
-    siteNominal_.assign(n * siteCount_, 0.0);
-    siteStuck_.assign(n * siteCount_, -1);
     coreV_.assign(n, 0.0);
     tempC_.assign(n, 0.0);
     steadyV_.assign(n, 0.0);
     basePathPs_.assign(n, 0.0);
+    cores_ = chip.cores();
     // The adjustment count is per run (the sampled-mode settling gate
     // compares it against a per-run tracker that starts at zero), but
     // the chip's loops outlive runs.
@@ -41,7 +32,7 @@ EngineSoaState::build(chip::Chip &chip,
     loops_->dpll.adjustments = 0;
 
     for (std::size_t c = 0; c < n; ++c) {
-        const chip::AtmCore &core = chip.core(static_cast<int>(c));
+        const chip::AtmCore &core = cores_[c];
         basePathPs_[c] = (util::Picoseconds{core.silicon().realPathIdlePs}
                           + exposure[c])
                              .value();
@@ -49,30 +40,13 @@ EngineSoaState::build(chip::Chip &chip,
         coreV_[c] = chip.pdn().coreV(static_cast<int>(c)).value();
     }
 
-    loadConfig(chip);
     refreshTemps(chip);
-}
-
-void
-EngineSoaState::loadConfig(chip::Chip &chip)
-{
-    const std::size_t n = mode_.size();
-    for (std::size_t c = 0; c < n; ++c) {
-        const chip::AtmCore &core = chip.core(static_cast<int>(c));
-        mode_[c] = static_cast<std::uint8_t>(core.mode());
-        fixedPeriodPs_[c] =
-            util::periodOf(core.fixedFrequencyMhz()).value();
-        speedFactor_[c] = core.silicon().speedFactor;
-        didtVuln_[c] = core.silicon().didtVulnerability;
-        core.cpmBank().exportSoa(siteNominal_.data() + c * siteCount_,
-                                 siteStuck_.data() + c * siteCount_);
-    }
 }
 
 void
 EngineSoaState::refreshTemps(chip::Chip &chip)
 {
-    const std::size_t n = mode_.size();
+    const std::size_t n = tempC_.size();
     for (std::size_t c = 0; c < n; ++c)
         tempC_[c] = chip.thermal().coreTempC(static_cast<int>(c)).value();
 }

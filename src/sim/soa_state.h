@@ -2,22 +2,20 @@
  * @file
  * Structure-of-arrays chip-step state for the engine (DESIGN.md,
  * engine architecture). Built from chip::Chip at run start:
- * contiguous per-core arrays for voltage, temperature, CPM site
- * constants, path exposure and mode flags. The engine's four per-core
- * hot loops (power/current, electrical step, control step, violation
- * scan) index these arrays instead of chasing object-per-core
- * pointers.
+ * contiguous per-core arrays for voltage, temperature and path
+ * exposure. The engine's four per-core hot loops (power/current,
+ * electrical step, control step, violation scan) index these arrays.
  *
- * Ownership: the per-core control-loop state (DPLL bank, slow rail,
- * last worst count) is chip::ControlLoops, held by the chip alone;
- * this state binds to it and the kernels step it in place, so there
- * is nothing to store back. Configuration (mode, fixed frequency, CPM
- * programming, speed factors) lives in the chip objects and is cached
- * here by loadConfig() at run start, after fault edges and after an
- * observer restarts a clock (chip::Chip::resetClock). The kernels are
- * the only implementation of the per-step control law and timing
- * race; the engine's golden identity digests (sim::digest) pin their
- * arithmetic bit for bit.
+ * Ownership: every piece of per-core state has one owner, and this
+ * state copies none of it. The control-loop state (DPLL bank, slow
+ * rail, last worst count) is chip::ControlLoops, which the kernels
+ * step in place. The configuration (mode, fixed frequency, CPM
+ * programming, silicon factors) lives in the chip's cores, which the
+ * kernels read in place, so a fault edge or an observer that
+ * reconfigures a core leaves nothing stale. The kernels are the only
+ * implementation of the per-step control law and timing race; the
+ * engine's golden identity digests (sim::digest) pin their arithmetic
+ * bit for bit.
  *
  * The layout static_asserts below pin the util/quantity.h property
  * the views rely on: a strong type is exactly one double, so
@@ -29,7 +27,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -67,21 +65,12 @@ static_assert(std::is_trivially_copyable_v<util::Mhz>);
 class EngineSoaState
 {
   public:
-    // CoreMode flattened to bytes; values pinned to the enum.
-    static constexpr std::uint8_t kModeAtm =
-        static_cast<std::uint8_t>(chip::CoreMode::AtmOverclock);
-    static constexpr std::uint8_t kModeFixed =
-        static_cast<std::uint8_t>(chip::CoreMode::FixedFrequency);
-    static constexpr std::uint8_t kModeGated =
-        static_cast<std::uint8_t>(chip::CoreMode::Gated);
-
     // --- Lifecycle ------------------------------------------------------
 
     /**
-     * Size the arrays, pull the configuration from the chip and bind
-     * to its control loops. Called once per run, after the engine has
-     * settled the electrical and thermal networks and reset the
-     * clocks.
+     * Size the arrays and bind to the chip's cores and control
+     * loops. Called once per run, after the engine has settled the
+     * electrical and thermal networks and reset the clocks.
      *
      * @param exposure Per-core scenario path exposure.
      * @param steady_v Per-core steady-state voltages (droop
@@ -92,10 +81,6 @@ class EngineSoaState
     void build(chip::Chip &chip,
                const std::vector<util::Picoseconds> &exposure,
                const std::vector<util::Volts> &steady_v, double noisePs);
-
-    /** Re-pull configuration state (mode, fixed frequency, CPM
-     *  programming, speed/vulnerability factors) from the objects. */
-    void loadConfig(chip::Chip &chip);
 
     /** Refresh the cached per-core temperatures (after a thermal
      *  step or a thermal fault edge). */
@@ -121,7 +106,7 @@ class EngineSoaState
     void controlStepAll(double nowNs) noexcept
     {
         chip::ControlLoops &loops = *loops_;
-        const std::size_t n = mode_.size();
+        const std::size_t n = cores_.size();
         for (std::size_t c = 0; c < n; ++c) {
             const double v = coreV_[c];
             if (!loops.vSlowValid[c]) {
@@ -131,16 +116,13 @@ class EngineSoaState
                 loops.vSlow[c] +=
                     (v - loops.vSlow[c]) * chip::kVSlowTrackingAlpha;
             }
-            if (mode_[c] != kModeAtm)
+            const chip::AtmCore &core = cores_[c];
+            if (core.mode() != chip::CoreMode::AtmOverclock)
                 continue;
             const double f = model_->factor(util::Volts{v},
                                             util::Celsius{tempC_[c]});
-            const double fs = f * speedFactor_[c];
-            const int margin = cpm::worstCountSoa(
-                siteNominal_.data() + c * siteCount_,
-                siteStuck_.data() + c * siteCount_,
-                static_cast<int>(siteCount_), loops.dpll.periodPs[c], f,
-                chainStepPs_ * fs, chainLength_);
+            const int margin =
+                core.cpmBank().worstCount(loops.dpll.periodPs[c], f);
             loops.lastWorst[c] = margin;
             loops.dpll.observe(c, nowNs, margin);
         }
@@ -159,16 +141,18 @@ class EngineSoaState
     [[nodiscard]] double timingDeficitPs(std::size_t core) const noexcept
     {
         const chip::ControlLoops &loops = *loops_;
+        const variation::CoreSiliconParams &silicon =
+            cores_[core].silicon();
         const double v = coreV_[core];
         double vEff = v;
         if (loops.vSlowValid[core]) {
             vEff = loops.vSlow[core]
-                 - (loops.vSlow[core] - v) * didtVuln_[core];
+                 - (loops.vSlow[core] - v) * silicon.didtVulnerability;
             vEff = std::max(vEff, 0.6);
         }
         const double real =
             basePathPs_[core]
-                * (speedFactor_[core]
+                * (silicon.speedFactor
                    * model_->factor(util::Volts{vEff},
                                     util::Celsius{tempC_[core]}))
             + noisePs_;
@@ -179,10 +163,11 @@ class EngineSoaState
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] double periodPs(std::size_t core) const noexcept
     {
-        if (mode_[core] == kModeAtm)
+        const chip::AtmCore &c = cores_[core];
+        if (c.mode() == chip::CoreMode::AtmOverclock)
             return loops_->dpll.periodPs[core];
-        if (mode_[core] == kModeFixed)
-            return fixedPeriodPs_[core];
+        if (c.mode() == chip::CoreMode::FixedFrequency)
+            return util::periodOf(c.fixedFrequencyMhz()).value();
         return gatedPeriodPs_;
     }
 
@@ -191,7 +176,7 @@ class EngineSoaState
     ATM_HOT_PATH(engine_step)
     [[nodiscard]] bool railsQuiet(double thresholdV) const noexcept
     {
-        const std::size_t n = mode_.size();
+        const std::size_t n = coreV_.size();
         for (std::size_t c = 0; c < n; ++c) {
             if (coreV_[c] < steadyV_[c] - thresholdV)
                 return false;
@@ -201,10 +186,10 @@ class EngineSoaState
 
     // --- Accessors ------------------------------------------------------
 
-    [[nodiscard]] std::size_t coreCount() const { return mode_.size(); }
+    [[nodiscard]] std::size_t coreCount() const { return cores_.size(); }
     [[nodiscard]] bool gated(std::size_t core) const
     {
-        return mode_[core] == kModeGated;
+        return cores_[core].mode() == chip::CoreMode::Gated;
     }
     [[nodiscard]] double coreV(std::size_t core) const
     {
@@ -230,15 +215,9 @@ class EngineSoaState
     }
 
   private:
-    // Per-core configuration (loadConfig).
-    std::vector<std::uint8_t> mode_;
-    std::vector<double> fixedPeriodPs_;
-    std::vector<double> speedFactor_;
-    std::vector<double> didtVuln_;
-    std::vector<double> siteNominal_; ///< cores x sites, row-major.
-    std::vector<int> siteStuck_;      ///< cores x sites, -1 = healthy.
-
-    // The chip's control loops, stepped in place.
+    // The chip's cores (configuration, read in place) and control
+    // loops (stepped in place).
+    std::span<const chip::AtmCore> cores_;
     chip::ControlLoops *loops_ = nullptr;
 
     // Per-core environment caches.
@@ -249,11 +228,8 @@ class EngineSoaState
 
     // Run constants.
     const circuit::DelayModel *model_ = nullptr;
-    double chainStepPs_ = 0.0;
     double gatedPeriodPs_ = 0.0;
     double noisePs_ = 0.0;
-    std::size_t siteCount_ = 0;
-    int chainLength_ = 0;
 };
 
 } // namespace atmsim::sim

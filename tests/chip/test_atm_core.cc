@@ -32,7 +32,8 @@ class AtmCoreTest : public ::testing::Test
                                                    1.0, rng);
         model_ = std::make_unique<circuit::DelayModel>(
             circuit::DelayModel::makeDefault());
-        core_ = std::make_unique<AtmCore>(&silicon_, model_.get());
+        core_ = std::make_unique<AtmCore>(&silicon_, model_.get(),
+                                          &generation_);
     }
 
     double steadyMhz(double v, double t) const
@@ -42,6 +43,7 @@ class AtmCoreTest : public ::testing::Test
 
     variation::CoreSiliconParams silicon_;
     std::unique_ptr<circuit::DelayModel> model_;
+    long generation_ = 0;
     std::unique_ptr<AtmCore> core_;
 };
 
@@ -81,7 +83,10 @@ TEST_F(AtmCoreTest, Validation)
 {
     EXPECT_THROW(core_->setFixedFrequencyMhz(Mhz{0.0}),
                  util::FatalError);
-    EXPECT_THROW(AtmCore(nullptr, model_.get()), util::PanicError);
+    EXPECT_THROW(AtmCore(nullptr, model_.get(), &generation_),
+                 util::PanicError);
+    EXPECT_THROW(AtmCore(&silicon_, model_.get(), nullptr),
+                 util::PanicError);
 }
 
 TEST(CoreModeNames, Printable)

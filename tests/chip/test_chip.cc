@@ -37,10 +37,10 @@ TEST_F(ChipTest, ResetClockStartsAtSteadyState)
     loops.dpll.heldValid[2] = 1;
     loops.lastWorst[2] = 9;
     chip_.setSensorDropout(2);
-    const long resets = chip_.clockResets();
+    const long generation = chip_.configGeneration();
 
     chip_.resetClock(2, v, t);
-    EXPECT_EQ(chip_.clockResets(), resets + 1);
+    EXPECT_EQ(chip_.configGeneration(), generation + 1);
     EXPECT_DOUBLE_EQ(
         chip_.periodPs(2).value(),
         util::periodOf(chip_.core(2).steadyFrequencyMhz(v, t)).value());
@@ -59,6 +59,31 @@ TEST_F(ChipTest, ResetClockStartsAtSteadyState)
     EXPECT_DOUBLE_EQ(loops.dpll.periodPs[2],
                      chip_.config().dpllParams.minPeriod.value());
     EXPECT_THROW(chip_.resetClock(8, v, t), util::FatalError);
+}
+
+TEST_F(ChipTest, ConfigSettersBumpTheGeneration)
+{
+    // The engine marks an observer's reconfiguration by this counter,
+    // so every configuration setter must move it.
+    long generation = chip_.configGeneration();
+    const auto bumped = [&] {
+        const long now = chip_.configGeneration();
+        const bool moved = now == generation + 1;
+        generation = now;
+        return moved;
+    };
+    chip_.core(4).setMode(CoreMode::FixedFrequency);
+    EXPECT_TRUE(bumped()) << "setMode";
+    chip_.core(4).setFixedFrequencyMhz(Mhz{4200.0});
+    EXPECT_TRUE(bumped()) << "setFixedFrequencyMhz";
+    chip_.core(4).setCpmReduction(util::CpmSteps{1});
+    EXPECT_TRUE(bumped()) << "setCpmReduction";
+    chip_.resetClock(4, Volts{1.25}, util::Celsius{50.0});
+    EXPECT_TRUE(bumped()) << "resetClock";
+    EXPECT_THROW(chip_.core(4).setFixedFrequencyMhz(Mhz{0.0}),
+                 util::FatalError);
+    EXPECT_EQ(chip_.configGeneration(), generation)
+        << "a rejected setting changes nothing";
 }
 
 TEST_F(ChipTest, ClockViewFollowsTheCoreMode)

@@ -200,7 +200,7 @@ TEST_F(SafetyMonitorTest, StuckSensorCaughtWithoutAViolation)
     EXPECT_GE(monitor.counters().anomalies, 1);
     EXPECT_EQ(monitor.state(1), CoreSafetyState::Quarantined);
     EXPECT_EQ(monitor.counters().quarantines, 1);
-    chip_.core(1).cpmBank().clearFaults();
+    chip_.core(1).cpmBank().clearStuckOutput(2);
 }
 
 TEST_F(SafetyMonitorTest, PhantomGuardTracksReductionTemperatureAndAging)

@@ -69,7 +69,7 @@ TEST_F(CpmTest, SlackAndOutputConsistent)
     const Cpm cpm(&core_, model_.get(), 0);
     const Picoseconds period = util::periodOf(util::Mhz{4600.0});
     const double slack =
-        cpm.slackPs(period, Volts{1.25}, Celsius{45.0}).value();
+        (period - cpm.monitoredDelayPs(Volts{1.25}, Celsius{45.0})).value();
     // At the preset and the default ATM frequency, slack is near the
     // DPLL target (6 ps).
     EXPECT_NEAR(slack, circuit::kDpllTargetSlack.value(), 1.0);

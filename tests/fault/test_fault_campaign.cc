@@ -120,14 +120,14 @@ TEST_F(FaultInjectorTest, CpmFaultsApplyAndRevert)
     const FaultSpec stuck =
         FaultSpec::parse("cpm-stuck:core=1,site=0,mag=9");
     injector_.apply(stuck);
-    EXPECT_TRUE(chip_.core(1).cpmBank().anyFaulted());
+    EXPECT_TRUE(chip_.core(1).cpmBank().site(0).faulted());
     EXPECT_EQ(chip_.core(1).cpmBank().site(0).outputCount(
                   util::Picoseconds{210.0}, util::Volts{1.25},
                   util::Celsius{40.0}),
               9);
     EXPECT_EQ(injector_.activeCount(), 1);
     injector_.revert(stuck);
-    EXPECT_FALSE(chip_.core(1).cpmBank().anyFaulted());
+    EXPECT_FALSE(chip_.core(1).cpmBank().site(0).faulted());
     EXPECT_EQ(injector_.activeCount(), 0);
 
     const FaultSpec skip =
@@ -154,6 +154,46 @@ TEST_F(FaultInjectorTest, CpmFaultsApplyAndRevert)
                                            util::Celsius{40.0})
                          .value(),
                      before);
+}
+
+TEST_F(FaultInjectorTest, CpmRevertLeavesOtherCpmFaults)
+{
+    // Reverting one CPM fault must undo that fault alone: another
+    // site's fault, or the other kind on the same site, stays.
+    const cpm::CpmBank &bank = chip_.core(2).cpmBank();
+    const auto delay = [&](int site) {
+        return bank.site(site)
+            .monitoredDelayPs(util::Volts{1.25}, util::Celsius{40.0})
+            .value();
+    };
+    const double healthy1 = delay(1);
+    const FaultSpec stuck0 =
+        FaultSpec::parse("cpm-stuck:core=2,site=0,start=1,dur=4,mag=12");
+    const FaultSpec skip1 =
+        FaultSpec::parse("cpm-skip:core=2,site=1,start=2,dur=6,mag=3");
+    injector_.apply(stuck0);
+    injector_.apply(skip1);
+    const double skipped1 = delay(1);
+    ASSERT_LT(skipped1, healthy1);
+    injector_.revert(stuck0);
+    EXPECT_FALSE(bank.site(0).stuckActive());
+    EXPECT_DOUBLE_EQ(delay(1), skipped1);
+    injector_.revert(skip1);
+    EXPECT_DOUBLE_EQ(delay(1), healthy1);
+    EXPECT_FALSE(bank.site(0).faulted());
+    EXPECT_FALSE(bank.site(1).faulted());
+
+    const FaultSpec stuck1 =
+        FaultSpec::parse("cpm-stuck:core=2,site=1,mag=9");
+    injector_.apply(stuck1);
+    injector_.apply(skip1);
+    injector_.revert(skip1);
+    EXPECT_TRUE(bank.site(1).stuckActive());
+    EXPECT_DOUBLE_EQ(delay(1), healthy1);
+    injector_.apply(skip1);
+    injector_.revert(stuck1);
+    EXPECT_FALSE(bank.site(1).stuckActive());
+    EXPECT_DOUBLE_EQ(delay(1), skipped1);
 }
 
 TEST_F(FaultInjectorTest, SensorDropoutTogglesDpll)

@@ -138,6 +138,28 @@ TEST(FaultSpecTest, ValidateChecksMagnitudes)
     FaultSpec stuck = FaultSpec::parse("cpm-stuck:core=0,mag=-1");
     EXPECT_THROW(stuck.validate(8), util::FatalError);
 
+    // A CPM fault names a real site and a magnitude that fits the
+    // count it programs; fractional magnitudes are accepted (they
+    // truncate).
+    for (const char *kind : {"cpm-stuck", "cpm-skip"}) {
+        const std::string head = std::string(kind) + ":core=0,";
+        FaultSpec::parse(head + "site=4,mag=12.5").validate(8);
+        FaultSpec::parse(head + "site=0,mag=2147483647").validate(8);
+        EXPECT_THROW(FaultSpec::parse(head + "site=5,mag=1").validate(8),
+                     util::FatalError)
+            << kind;
+        EXPECT_THROW(FaultSpec::parse(head + "site=7,mag=1").validate(8),
+                     util::FatalError)
+            << kind;
+        EXPECT_THROW(
+            FaultSpec::parse(head + "site=0,mag=2147483648").validate(8),
+            util::FatalError)
+            << kind;
+        EXPECT_THROW(FaultSpec::parse(head + "site=0,mag=1e12").validate(8),
+                     util::FatalError)
+            << kind;
+    }
+
     FaultSpec late = FaultSpec::parse("dropout:core=0,start=-1");
     EXPECT_THROW(late.validate(8), util::FatalError);
 }

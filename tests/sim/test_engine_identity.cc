@@ -7,13 +7,16 @@
  * and attached observers. Sampled mode is held to a looser contract
  * (it is approximate by design): the fast-forward must actually
  * engage on quiet runs and the headline tables must land within 1%
- * of Soa.
+ * of Soa. Its own answers on the identity scenarios are recorded
+ * digests as well, so a change to the quiet gate cannot pass
+ * silently.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 #include "chip/chip.h"
 #include "core/safety_monitor.h"
@@ -114,6 +117,42 @@ TEST(EngineIdentity, SoaMatchesLegacyBitwise)
         EXPECT_EQ(digest(runScenario(sc, EngineMode::Soa, 8.0)),
                   sc.golden)
             << sc.name;
+    }
+}
+
+/** Sampled mode's answers for kScenarios, in the same order. */
+struct SampledGolden
+{
+    std::uint64_t digest;
+    long fastForwardedSteps;
+};
+
+// Recorded from the sampled engine as it stood when the identity
+// scenarios were first run in sampled mode. They pin the quiet gate
+// and the fast-forward exactly, where SampledStaysWithinOnePercent
+// only bounds the tables.
+const SampledGolden kSampledGoldens[] = {
+    {0x51a5a10a4b0ca901ULL, 26484}, // idle
+    {0xe1a0e95ca0876f5eULL, 27636}, // noise-seed7
+    {0xa29e553f0b2f16e9ULL, 27261}, // mixed-modes
+    {0x8f66a0a168e81febULL, 1471},  // cpm-stuck
+    {0x22c22eb114bb03c2ULL, 24645}, // cpm-stuck-monitored
+    {0x4647be50509d8e30ULL, 13669}, // droop-storm-mixed
+    {0x3c789fd24b3832b9ULL, 0},     // vrm-step-stop
+    {0xb29b3744f7611ca0ULL, 24055}, // two-faults
+};
+static_assert(std::size(kSampledGoldens) == std::size(kScenarios));
+
+TEST(EngineIdentity, SampledMatchesRecordedDigests)
+{
+    for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+        const RunResult result =
+            runScenario(kScenarios[i], EngineMode::Sampled, 8.0);
+        EXPECT_EQ(digest(result), kSampledGoldens[i].digest)
+            << kScenarios[i].name;
+        EXPECT_EQ(result.fastForwardedSteps,
+                  kSampledGoldens[i].fastForwardedSteps)
+            << kScenarios[i].name;
     }
 }
 
