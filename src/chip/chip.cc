@@ -87,15 +87,15 @@ Chip::core(int index) const
 }
 
 void
-Chip::scaleCoreSpeed(int core_index, double factor)
+Chip::setCoreSpeedFactor(int core_index, double speed_factor)
 {
-    const std::size_t c = checkedIndex(core_index, "scaleCoreSpeed");
-    if (factor <= 0.0)
-        util::fatal("scaleCoreSpeed: factor must be positive, got ",
-                    factor);
+    const std::size_t c = checkedIndex(core_index, "setCoreSpeedFactor");
+    if (!(speed_factor > 0.0))
+        util::fatal("setCoreSpeedFactor: factor must be positive, got ",
+                    speed_factor);
     // The AtmCore and its CPMs hold pointers into silicon_, so the
     // change propagates to every delay computation immediately.
-    silicon_.cores[c].speedFactor *= factor;
+    silicon_.cores[c].speedFactor = speed_factor;
 }
 
 void
@@ -139,24 +139,16 @@ Chip::emergencyCount(int core_index) const
 }
 
 void
-Chip::setSensorDropout(int core_index)
+Chip::setSensorDropout(int core_index, bool dropped)
 {
-    ++loops_.dpll.dropouts[checkedIndex(core_index, "setSensorDropout")];
-}
-
-void
-Chip::clearSensorDropout(int core_index)
-{
-    int &active =
-        loops_.dpll.dropouts[checkedIndex(core_index, "clearSensorDropout")];
-    if (active > 0)
-        --active;
+    loops_.dpll.dropout[checkedIndex(core_index, "setSensorDropout")] =
+        static_cast<std::uint8_t>(dropped);
 }
 
 bool
 Chip::sensorDropout(int core_index) const
 {
-    return loops_.dpll.dropouts[checkedIndex(core_index, "sensorDropout")] > 0;
+    return loops_.dpll.dropout[checkedIndex(core_index, "sensorDropout")];
 }
 
 void

@@ -126,13 +126,12 @@ class Chip
     const variation::ChipSilicon &silicon() const { return silicon_; }
 
     /**
-     * Fault injection: scale one core's silicon speed in place (an
+     * Fault injection: set one core's silicon speed factor exactly (an
      * abrupt aging jump, e.g. BTI shift after a thermal event). Both
      * the real paths and the CPM canaries slow together, which is
-     * exactly the tracking property ATM relies on. Revert by applying
-     * the reciprocal factor.
+     * exactly the tracking property ATM relies on. fatal() unless > 0.
      */
-    void scaleCoreSpeed(int core_index, double factor);
+    void setCoreSpeedFactor(int core_index, double speed_factor);
 
     // --- Clock view ----------------------------------------------------
 
@@ -140,7 +139,7 @@ class Chip
      * Restart a core's clock at the steady state for the given
      * environment: the period of steadyFrequencyMhz(v, t), clamped to
      * the DPLL bounds, with the loop counters and held margin cleared
-     * and the slow rail at `v`. Sensor dropouts are left untouched.
+     * and the slow rail at `v`. The sensor dropout is left untouched.
      * The engine does this for every core at run start.
      */
     void resetClock(int core_index, Volts v, Celsius t);
@@ -163,15 +162,13 @@ class Chip
     long emergencyCount(int core_index) const;
 
     /**
-     * Fault injection: drop a core's CPM sensor input. While any
-     * dropout is active the loop holds the last margin it observed
-     * (hold-last semantics), so it neither slews nor engages the
-     * emergency path in response to fresh droops -- the hazard the
-     * fault campaigns probe. Dropouts count: each set is undone by
-     * one clear, so overlapping dropout faults nest.
+     * Fault injection: set or clear a core's CPM sensor dropout. While
+     * it is set the loop holds the last margin it observed (hold-last
+     * semantics), so it neither slews nor engages the emergency path
+     * in response to fresh droops -- the hazard the fault campaigns
+     * probe. Overlapping dropout faults nest in fault::FaultInjector.
      */
-    void setSensorDropout(int core_index);
-    void clearSensorDropout(int core_index);
+    void setSensorDropout(int core_index, bool dropped);
     bool sensorDropout(int core_index) const;
 
     /** The per-core loop arrays the engine steps in place. */

@@ -295,7 +295,7 @@ SafetyMonitor::onSample(util::Nanoseconds now,
         // the loop is acting on margin that is not really there. The
         // bound is recomputed only when one of its mid-run inputs
         // moves: the reduction, the temperature, or the silicon speed
-        // (aging faults scale it through Chip::scaleCoreSpeed).
+        // (aging faults set it through Chip::setCoreSpeedFactor).
         const int reduction = c.cpmReduction().value();
         const double temp = t_c.value();
         // atmlint: allow(float-equality) -- memo key: exact repeat of

@@ -62,7 +62,8 @@ void
 Cpm::refreshNominal()
 {
     const CpmSteps effective =
-        std::max(configSteps_ - CpmSteps{skippedSegments_}, CpmSteps{0});
+        std::max(configSteps_ - CpmSteps{faults_.skippedSegments},
+                 CpmSteps{0});
     nominalPs_ = core_->synthPathPs * synthScale_
                + core_->insertedDelayPs(effective).value();
 }
@@ -93,43 +94,23 @@ Cpm::monitoredDelayPs(double delay_factor) const
 int
 Cpm::outputCount(Picoseconds period, Volts v, Celsius t) const
 {
-    if (stuckActive_)
-        return stuckCount_;
+    if (stuckActive())
+        return stuckOutputCount();
     const double delay_factor = model_->factor(v, t);
     return chain_.quantize(period - monitoredDelayPs(delay_factor),
                            delay_factor * core_->speedFactor);
 }
 
 void
-Cpm::injectStuckOutput(int count)
+Cpm::setFaults(const CpmFaults &faults)
 {
-    if (count < 0)
-        util::fatal("stuck CPM output must be non-negative, got ", count);
-    stuckActive_ = true;
-    stuckCount_ = count;
-}
-
-void
-Cpm::injectSkippedSegments(int segments)
-{
-    if (segments < 0)
+    if (faults.stuckCount.value_or(0) < 0)
+        util::fatal("stuck CPM output must be non-negative, got ",
+                    *faults.stuckCount);
+    if (faults.skippedSegments < 0)
         util::fatal("skipped CPM segments must be non-negative, got ",
-                    segments);
-    skippedSegments_ = segments;
-    refreshNominal();
-}
-
-void
-Cpm::clearStuckOutput()
-{
-    stuckActive_ = false;
-    stuckCount_ = 0;
-}
-
-void
-Cpm::clearSkippedSegments()
-{
-    skippedSegments_ = 0;
+                    faults.skippedSegments);
+    faults_ = faults;
     refreshNominal();
 }
 

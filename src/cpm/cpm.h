@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <optional>
+
 #include "circuit/delay_model.h"
 #include "circuit/inverter_chain.h"
 #include "util/quantity.h"
@@ -33,6 +35,21 @@ enum class CpmSite {
 
 /** Printable name of a CPM site. */
 const char *cpmSiteName(CpmSite site);
+
+/**
+ * The faults injected into one site (default: healthy). A stuck latch
+ * pins the output at `stuckCount` whatever the slack: a high count is
+ * phantom margin, a stuck zero permanent emergency. Skipped enabled
+ * inserted-delay segments shorten the monitored delay while the
+ * configuration reads back unchanged, so the site over-reports slack.
+ */
+struct CpmFaults
+{
+    std::optional<int> stuckCount;
+    int skippedSegments = 0;
+
+    bool operator==(const CpmFaults &) const = default;
+};
 
 /** One critical path monitor instance. */
 class Cpm
@@ -84,40 +101,25 @@ class Cpm
 
     // --- Fault injection -----------------------------------------------
 
-    /**
-     * Pin the per-cycle output to a fixed count regardless of the real
-     * slack (a stuck latch in the quantizing chain). A high stuck
-     * count makes the site report phantom margin; a stuck zero holds
-     * the loop in permanent emergency.
-     */
-    void injectStuckOutput(int count);
+    /** Set the site's injected faults; fatal() on a negative count. */
+    void setFaults(const CpmFaults &faults);
 
-    /**
-     * Skip enabled inserted-delay segments: the programmed
-     * configuration reads back unchanged but the monitored delay is
-     * short by the skipped segments, so the site over-reports slack.
-     */
-    void injectSkippedSegments(int segments);
-
-    /** Release the pinned output (undo injectStuckOutput). */
-    void clearStuckOutput();
-
-    /** Restore the skipped segments (undo injectSkippedSegments). */
-    void clearSkippedSegments();
+    /** The site's injected faults. */
+    const CpmFaults &faults() const { return faults_; }
 
     /** True while any fault is injected. */
-    bool faulted() const { return stuckActive_ || skippedSegments_ > 0; }
+    bool faulted() const { return faults_ != CpmFaults{}; }
 
     // --- Kernel view (CpmBank::worstCount) ------------------------------
 
     /** Cached zero-factor monitored delay (see nominalPs_). */
     double nominalPs() const { return nominalPs_; }
 
-    /** True while the output is pinned by injectStuckOutput(). */
-    bool stuckActive() const { return stuckActive_; }
+    /** True while the output is pinned by a stuck fault. */
+    bool stuckActive() const { return faults_.stuckCount.has_value(); }
 
     /** The pinned count while stuckActive() (undefined otherwise). */
-    int stuckOutputCount() const { return stuckCount_; }
+    int stuckOutputCount() const { return *faults_.stuckCount; }
 
   private:
     /** Recompute the cached zero-factor monitored delay. */
@@ -132,17 +134,13 @@ class Cpm
     /**
      * Cached `synthPathPs * synthScale_ + insertedDelayPs(effective)`.
      * The sum only changes with the configuration or the skipped
-     * segments (setConfigSteps / injectSkippedSegments /
-     * clearSkippedSegments), yet the engine used to re-accumulate the
-     * segment vector every 0.2 ns electrical step on all five sites
-     * of every core.
+     * segments (setConfigSteps / setFaults), yet the engine used to
+     * re-accumulate the segment vector every 0.2 ns electrical step
+     * on all five sites of every core.
      */
     double nominalPs_ = 0.0;
 
-    // Fault state (see injectStuckOutput / injectSkippedSegments).
-    bool stuckActive_ = false;
-    int stuckCount_ = 0;
-    int skippedSegments_ = 0;
+    CpmFaults faults_;
 
     /**
      * Local synthetic-path scale. Site 0 is the controlling site

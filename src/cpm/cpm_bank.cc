@@ -46,36 +46,12 @@ CpmBank::site(int index) const
     return sites_[static_cast<std::size_t>(index)];
 }
 
-Cpm &
-CpmBank::faultSite(int site)
+void
+CpmBank::setFaults(int site, const CpmFaults &faults)
 {
     if (site < 0 || site >= static_cast<int>(sites_.size()))
         util::fatal("CPM fault site ", site, " out of range");
-    return sites_[static_cast<std::size_t>(site)];
-}
-
-void
-CpmBank::injectStuckOutput(int site, int count)
-{
-    faultSite(site).injectStuckOutput(count);
-}
-
-void
-CpmBank::injectSkippedSegments(int site, int segments)
-{
-    faultSite(site).injectSkippedSegments(segments);
-}
-
-void
-CpmBank::clearStuckOutput(int site)
-{
-    faultSite(site).clearStuckOutput();
-}
-
-void
-CpmBank::clearSkippedSegments(int site)
-{
-    faultSite(site).clearSkippedSegments();
+    sites_[static_cast<std::size_t>(site)].setFaults(faults);
 }
 
 } // namespace atmsim::cpm

@@ -45,17 +45,8 @@ class CpmBank
 
     // --- Fault injection -----------------------------------------------
 
-    /** Pin one site's output count (stuck quantizer latch). */
-    void injectStuckOutput(int site, int count);
-
-    /** Make one site skip enabled inserted-delay segments. */
-    void injectSkippedSegments(int site, int segments);
-
-    /** Release one site's pinned output; its skipped segments stay. */
-    void clearStuckOutput(int site);
-
-    /** Restore one site's skipped segments; a pinned output stays. */
-    void clearSkippedSegments(int site);
+    /** Set one site's injected faults (see Cpm::setFaults). */
+    void setFaults(int site, const CpmFaults &faults);
 
     // --- Engine kernels ------------------------------------------------
 
@@ -103,9 +94,6 @@ class CpmBank
     }
 
   private:
-    /** A site for fault injection; fatal() if out of range. */
-    Cpm &faultSite(int site);
-
     /** This cycle's per-core quantizer inputs. */
     struct Scale
     {

@@ -20,7 +20,7 @@ DpllBankSoa::resize(std::size_t cores, const DpllParams &params)
     slewUps.assign(cores, 0);
     heldMargin.assign(cores, 0);
     heldValid.assign(cores, 0);
-    dropouts.assign(cores, 0);
+    dropout.assign(cores, 0);
     adjustments = 0;
 
     updateIntervalNs = params.updateInterval.value();

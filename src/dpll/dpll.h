@@ -82,9 +82,9 @@ struct DpllBankSoa
     std::vector<long> slewUps;
     std::vector<int> heldMargin;
     std::vector<std::uint8_t> heldValid;
-    /** Active sensor-dropout faults per core; the loop holds its last
-     *  healthy margin while this is above zero. */
-    std::vector<int> dropouts;
+    /** Sensor-dropout flag per core (0/1); the loop holds its last
+     *  healthy margin while it is set. */
+    std::vector<std::uint8_t> dropout;
     long adjustments = 0;
 
     // Params flattened to raw doubles once at build time.
@@ -105,8 +105,8 @@ struct DpllBankSoa
     void resize(std::size_t cores, const DpllParams &params);
 
     /** Restart one loop at a period (clamped to the bounds): clear
-     *  its counters, timers and held margin. Dropouts are left
-     *  untouched. */
+     *  its counters, timers and held margin. The dropout flag is
+     *  left untouched. */
     void reset(std::size_t core, Picoseconds period);
 
     /**
@@ -121,7 +121,7 @@ struct DpllBankSoa
     ATM_HOT_PATH(engine_step)
     void observe(std::size_t core, double nowNs, int marginCounts) noexcept
     {
-        if (dropouts[core] > 0) {
+        if (dropout[core]) {
             // The sensor input is gone; the loop keeps acting on the
             // last healthy reading and is blind to anything happening
             // now.

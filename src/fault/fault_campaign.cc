@@ -30,18 +30,6 @@ FaultCampaign::validate(int core_count) const
         spec.validate(core_count);
 }
 
-std::string
-FaultCampaign::format() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < faults_.size(); ++i) {
-        if (i > 0)
-            os << ';';
-        os << faults_[i].format();
-    }
-    return os.str();
-}
-
 FaultCampaign
 FaultCampaign::parse(const std::string &text)
 {
@@ -87,16 +75,6 @@ FaultCampaign::collectExpirations(double now_ns,
     }
 }
 
-bool
-FaultCampaign::anyActive() const
-{
-    for (Phase phase : phases_) {
-        if (phase == Phase::Active)
-            return true;
-    }
-    return false;
-}
-
 double
 FaultCampaign::nextEdgeNs() const
 {
@@ -108,16 +86,6 @@ FaultCampaign::nextEdgeNs() const
             next = std::min(next, faults_[i].endNs());
     }
     return next;
-}
-
-bool
-FaultCampaign::allDone() const
-{
-    for (Phase phase : phases_) {
-        if (phase != Phase::Done)
-            return false;
-    }
-    return true;
 }
 
 } // namespace atmsim::fault

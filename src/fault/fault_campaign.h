@@ -2,7 +2,7 @@
  * @file
  * A fault campaign: a set of typed faults armed at configured times
  * and cores, plus the runtime bookkeeping the engine uses to fire and
- * expire them mid-run. Campaigns serialize to a compact spec string
+ * expire them mid-run. Campaigns parse from a compact spec string
  * (';'-separated FaultSpec strings) so a specific campaign can be
  * replayed deterministically from a command line.
  */
@@ -37,9 +37,6 @@ class FaultCampaign
     /** Validate every fault against a chip; fatal() on violation. */
     void validate(int core_count) const;
 
-    /** Render as a replayable ';'-separated spec string. */
-    std::string format() const;
-
     /** Parse a ';'-separated spec string (empty string = no faults). */
     static FaultCampaign parse(const std::string &text);
 
@@ -59,12 +56,6 @@ class FaultCampaign
      * reported exactly once, after it was activated.
      */
     void collectExpirations(double now_ns, std::vector<std::size_t> &out);
-
-    /** True while any fault is currently active. */
-    bool anyActive() const;
-
-    /** True when every fault has been activated and expired. */
-    bool allDone() const;
 
     /**
      * Earliest upcoming schedule edge (ns): the soonest pending

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <ranges>
 
 #include "util/logging.h"
 
@@ -13,76 +15,128 @@ FaultInjector::FaultInjector(chip::Chip *target) : chip_(target)
         util::panic("FaultInjector constructed with null chip");
 }
 
+FaultInjector::~FaultInjector()
+{
+    // Writes back values read from the chip itself, so nothing fails.
+    active_.clear();
+    for (const Base &base : bases_)
+        recompute(base.target);
+}
+
+FaultInjector::Target
+FaultInjector::targetOf(const FaultSpec &spec)
+{
+    switch (spec.kind) {
+      case FaultKind::CpmStuckAt:
+      case FaultKind::CpmSkippedStep:
+        return {FaultKind::CpmStuckAt, spec.core, spec.site};
+      case FaultKind::DroopStorm:
+        // One storm list serves every core.
+        return {spec.kind, -1, 0};
+      default:
+        return {spec.kind, spec.core, 0};
+    }
+}
+
+FaultInjector::Base
+FaultInjector::baseOf(const Target &target) const
+{
+    Base base{};
+    base.target = target;
+    switch (target.kind) {
+      case FaultKind::CpmStuckAt:
+      case FaultKind::CpmSkippedStep:
+        base.site =
+            chip_->core(target.core).cpmBank().site(target.site).faults();
+        break;
+      case FaultKind::SensorDropout:
+        base.dropped = chip_->sensorDropout(target.core);
+        break;
+      case FaultKind::VrmLoadStep:
+        base.value = chip_->pdn().faultCurrentA().value();
+        break;
+      case FaultKind::DroopStorm:
+        break;
+      case FaultKind::AgingJump:
+        base.value = chip_->core(target.core).silicon().speedFactor;
+        break;
+      case FaultKind::ThermalExcursion:
+        base.value = chip_->thermal().faultOffsetC(target.core).value();
+        break;
+    }
+    return base;
+}
+
+void
+FaultInjector::recompute(const Target &target)
+{
+    const Base &base = *std::ranges::find(bases_, target, &Base::target);
+    auto on = active_ | std::views::filter([&](const FaultSpec &spec) {
+                        return targetOf(spec) == target;
+                    });
+    const auto fold = [&](auto combine) {
+        double value = base.value;
+        for (const FaultSpec &spec : on)
+            value = combine(value, spec.magnitude);
+        return value;
+    };
+    switch (target.kind) {
+      case FaultKind::CpmStuckAt:
+      case FaultKind::CpmSkippedStep: {
+        cpm::CpmFaults site = base.site;
+        for (const FaultSpec &spec : on) {
+            const int count = static_cast<int>(spec.magnitude);
+            if (spec.kind == FaultKind::CpmStuckAt)
+                site.stuckCount = count;
+            else
+                site.skippedSegments = count;
+        }
+        chip_->core(target.core).cpmBank().setFaults(target.site, site);
+        break;
+      }
+      case FaultKind::SensorDropout:
+        chip_->setSensorDropout(target.core,
+                                base.dropped || !std::ranges::empty(on));
+        break;
+      case FaultKind::VrmLoadStep:
+        chip_->pdn().setFaultCurrentA(util::Amps{fold(std::plus<>())});
+        break;
+      case FaultKind::DroopStorm:
+        storms_.assign(on.begin(), on.end());
+        break;
+      case FaultKind::AgingJump:
+        chip_->setCoreSpeedFactor(
+            target.core,
+            fold([](double speed, double m) { return speed * (1.0 + m); }));
+        break;
+      case FaultKind::ThermalExcursion:
+        chip_->thermal().setFaultOffsetC(target.core,
+                                         util::Celsius{fold(std::plus<>())});
+        break;
+    }
+}
+
 void
 FaultInjector::apply(const FaultSpec &spec)
 {
     spec.validate(chip_->coreCount());
-    switch (spec.kind) {
-      case FaultKind::CpmStuckAt:
-        chip_->core(spec.core).cpmBank().injectStuckOutput(
-            spec.site, static_cast<int>(spec.magnitude));
-        break;
-      case FaultKind::CpmSkippedStep:
-        chip_->core(spec.core).cpmBank().injectSkippedSegments(
-            spec.site, static_cast<int>(spec.magnitude));
-        break;
-      case FaultKind::SensorDropout:
-        chip_->setSensorDropout(spec.core);
-        break;
-      case FaultKind::VrmLoadStep:
-        chip_->pdn().setFaultCurrentA(chip_->pdn().faultCurrentA()
-                                      + util::Amps{spec.magnitude});
-        break;
-      case FaultKind::DroopStorm:
-        storms_.push_back(spec);
-        break;
-      case FaultKind::AgingJump:
-        chip_->scaleCoreSpeed(spec.core, 1.0 + spec.magnitude);
-        break;
-      case FaultKind::ThermalExcursion:
-        chip_->thermal().setFaultOffsetC(
-            spec.core,
-            chip_->thermal().faultOffsetC(spec.core)
-                + util::Celsius{spec.magnitude});
-        break;
-    }
-    ++activeCount_;
+    const Target target = targetOf(spec);
+    if (std::ranges::find(bases_, target, &Base::target) == bases_.end())
+        bases_.push_back(baseOf(target));
+    active_.push_back(spec);
+    recompute(target);
     util::debug("fault applied: ", spec.format());
 }
 
 void
 FaultInjector::revert(const FaultSpec &spec)
 {
-    switch (spec.kind) {
-      case FaultKind::CpmStuckAt:
-        chip_->core(spec.core).cpmBank().clearStuckOutput(spec.site);
-        break;
-      case FaultKind::CpmSkippedStep:
-        chip_->core(spec.core).cpmBank().clearSkippedSegments(spec.site);
-        break;
-      case FaultKind::SensorDropout:
-        chip_->clearSensorDropout(spec.core);
-        break;
-      case FaultKind::VrmLoadStep:
-        chip_->pdn().setFaultCurrentA(chip_->pdn().faultCurrentA()
-                                      - util::Amps{spec.magnitude});
-        break;
-      case FaultKind::DroopStorm:
-        if (const auto it = std::find(storms_.begin(), storms_.end(), spec);
-            it != storms_.end())
-            storms_.erase(it);
-        break;
-      case FaultKind::AgingJump:
-        chip_->scaleCoreSpeed(spec.core, 1.0 / (1.0 + spec.magnitude));
-        break;
-      case FaultKind::ThermalExcursion:
-        chip_->thermal().setFaultOffsetC(
-            spec.core,
-            chip_->thermal().faultOffsetC(spec.core)
-                - util::Celsius{spec.magnitude});
-        break;
-    }
-    --activeCount_;
+    const auto it = std::ranges::find(active_, spec);
+    if (it == active_.end())
+        util::panic("reverting a fault that is not active: ",
+                    spec.format());
+    active_.erase(it);
+    recompute(targetOf(spec));
     util::debug("fault reverted: ", spec.format());
 }
 

@@ -1,7 +1,10 @@
 #include "fault/fault_spec.h"
 
 #include <array>
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -30,6 +33,17 @@ fieldNumber(const std::string &key, const std::string &value,
         util::fatal("malformed value '", value, "' for fault field '",
                     key, "' in '", text, "'");
     return *parsed;
+}
+
+/** Write `key`, then the shortest text that reads back as `value`. */
+void
+writeField(std::ostream &os, const char *key, double value)
+{
+    std::array<char, 32> buf{};
+    const char *end =
+        std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
+    os << key;
+    os.write(buf.data(), end - buf.data());
 }
 
 } // namespace
@@ -108,6 +122,10 @@ FaultSpec::validate(int core_count) const
                         "fast; magnitude must exceed -1");
         break;
       case FaultKind::ThermalExcursion:
+        // No offset may take a core at 0 degC to absolute zero.
+        if (magnitude <= -273.15)
+            util::fatal("thermal offset must exceed -273.15 degC, got ",
+                        magnitude);
         break;
     }
 }
@@ -119,13 +137,12 @@ FaultSpec::format() const
     os << faultKindName(kind) << ":core=" << core;
     if (site != 0)
         os << ",site=" << site;
-    os << ",start=" << startUs;
-    if (durationUs > 0.0)
-        os << ",dur=" << durationUs;
-    // atmlint: allow(float-equality) -- 0.0 is the exact "field not
-    // set" sentinel round-tripped through parse/format.
-    if (magnitude != 0.0)
-        os << ",mag=" << magnitude;
+    writeField(os, ",start=", startUs);
+    // Default (+0.0) fields are left out; -0.0 is written, bits kept.
+    if (std::bit_cast<std::uint64_t>(durationUs) != 0)
+        writeField(os, ",dur=", durationUs);
+    if (std::bit_cast<std::uint64_t>(magnitude) != 0)
+        writeField(os, ",mag=", magnitude);
     return os.str();
 }
 

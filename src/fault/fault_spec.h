@@ -60,12 +60,13 @@ FaultKind faultKindFromName(const std::string &name);
  *  - VrmLoadStep: parasitic grid current (A).
  *  - DroopStorm: burst current amplitude at the core (A).
  *  - AgingJump: fractional slowdown, e.g. 0.02 for 2% slower.
- *  - ThermalExcursion: junction-temperature offset (degC).
+ *  - ThermalExcursion: junction-temperature offset (degC, > -273.15).
  *
- * Reverting a CPM fault undoes that kind on that site alone. Two
- * faults of the same kind on the same site do not stack: the later
- * one overwrites the earlier, and the first of their reverts clears
- * the fault.
+ * Overlapping faults on one target nest (fault::FaultInjector): aging
+ * jumps multiply, VRM steps, droop storms and thermal offsets add, a
+ * dropout holds while any dropout on the core is active, and a CPM
+ * site shows the latest active fault of each kind, so reverting the
+ * inner of two faults on a site puts the outer one back.
  */
 struct FaultSpec
 {
@@ -99,7 +100,7 @@ struct FaultSpec
     /** Check internal consistency for a chip; fatal() on violation. */
     void validate(int core_count) const;
 
-    /** Render as a parseable spec string. */
+    /** Render as a spec string that parse() reads back exactly. */
     std::string format() const;
 
     /**

@@ -608,6 +608,7 @@ SimEngine::run(double duration_us)
     prepareRun(scratch, result, duration_us);
     profiler.end(kPhaseSettle, t0);
 
+    // Restores what its faults touched when the run ends.
     fault::FaultInjector injector(chip_);
 
     EngineSoaState soa;
@@ -899,17 +900,6 @@ SimEngine::run(double duration_us)
     result.minGridV = chip.pdn().minGridV().value();
     result.durationNs = static_cast<double>(step) * config_.dtNs;
     finishRun(scratch, result);
-
-    // Leave no fault state behind: anything still active at the end of
-    // the run window is reverted so the chip can be reused.
-    if (campaign_) {
-        scratch.faultEdges.clear();
-        campaign_->collectExpirations(
-            std::numeric_limits<double>::infinity(),
-            scratch.faultEdges);
-        for (std::size_t f : scratch.faultEdges)
-            injector.revert(campaign_->spec(f));
-    }
 
     // --- Run performance record + final observability flush.
     result.steps = step;

@@ -36,7 +36,7 @@ TEST_F(ChipTest, ResetClockStartsAtSteadyState)
     loops.dpll.slewUps[2] = 7;
     loops.dpll.heldValid[2] = 1;
     loops.lastWorst[2] = 9;
-    chip_.setSensorDropout(2);
+    chip_.setSensorDropout(2, true);
     const long generation = chip_.configGeneration();
 
     chip_.resetClock(2, v, t);

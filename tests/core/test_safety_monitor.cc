@@ -193,14 +193,14 @@ TEST_F(SafetyMonitorTest, FallbackProbesAfterBackoff)
 TEST_F(SafetyMonitorTest, StuckSensorCaughtWithoutAViolation)
 {
     SafetyMonitor monitor(&chip_, targets_);
-    chip_.core(1).cpmBank().injectStuckOutput(2, 9);
+    chip_.core(1).cpmBank().setFaults(2, {.stuckCount = 9});
     const int window = monitor.config().stuckSampleWindow;
     for (int s = 1; s <= window; ++s)
         sample(monitor, s * 100.0);
     EXPECT_GE(monitor.counters().anomalies, 1);
     EXPECT_EQ(monitor.state(1), CoreSafetyState::Quarantined);
     EXPECT_EQ(monitor.counters().quarantines, 1);
-    chip_.core(1).cpmBank().clearStuckOutput(2);
+    chip_.core(1).cpmBank().setFaults(2, {});
 }
 
 TEST_F(SafetyMonitorTest, PhantomGuardTracksReductionTemperatureAndAging)
@@ -257,7 +257,8 @@ TEST_F(SafetyMonitorTest, PhantomGuardTracksReductionTemperatureAndAging)
     only(aged);
     SafetyMonitor aging(&chip_, targets_, config);
     EXPECT_FALSE(anomaly_on_sample(aging, aged));
-    chip_.scaleCoreSpeed(aged, 1.10);
+    chip_.setCoreSpeedFactor(
+        aged, chip_.core(aged).silicon().speedFactor * 1.10);
     EXPECT_TRUE(fresh_verdict(aging, aged));
     EXPECT_TRUE(anomaly_on_sample(aging, aged));
 

@@ -111,7 +111,7 @@ TEST_F(CpmBankTest, WorstCountIsSiteMinimum)
                   site_min(Volts{v}))
             << v << " V";
     }
-    bank.injectStuckOutput(3, 0);
+    bank.setFaults(3, {.stuckCount = 0});
     EXPECT_EQ(worstCount(bank, period, Volts{1.25}, Celsius{45.0}), 0);
     EXPECT_EQ(site_min(Volts{1.25}), 0);
 }
@@ -160,10 +160,9 @@ TEST_F(CpmBankTest, ProbeKernelMatchesPerSiteOutputCount)
     EXPECT_TRUE(saw_negative);
     EXPECT_FALSE(kernel(loop * 1.05, loop * 0.8, Volts{1.25}));
 
-    bank.injectStuckOutput(2, 0);
+    bank.setFaults(2, {.stuckCount = 0});
     check("stuck at 0");
-    bank.clearStuckOutput(2);
-    bank.injectStuckOutput(2, 9);
+    bank.setFaults(2, {.stuckCount = 9});
     check("stuck at 9");
     EXPECT_TRUE(kernel(loop * 1.05, loop * 0.8, Volts{1.25}));
 }

@@ -24,14 +24,14 @@ TEST(Dpll, ResetSetsPeriod)
 {
     DpllBankSoa loop = oneLoop(220.0);
     loop.observe(0, 0.0, 0); // emergency: counters and timers move
-    loop.dropouts[0] = 1;
+    loop.dropout[0] = 1;
     loop.reset(0, Picoseconds{217.4});
     EXPECT_DOUBLE_EQ(loop.periodPs[0], 217.4);
     EXPECT_EQ(loop.emergencies[0], 0);
     EXPECT_DOUBLE_EQ(loop.lastEmergencyNs[0], -1e18);
     EXPECT_DOUBLE_EQ(loop.lastUpdateNs[0], -1e18);
     EXPECT_EQ(loop.heldValid[0], 0);
-    EXPECT_EQ(loop.dropouts[0], 1) << "reset must keep the fault";
+    EXPECT_EQ(loop.dropout[0], 1) << "reset must keep the fault";
     loop.reset(0, Picoseconds{100.0});
     EXPECT_DOUBLE_EQ(loop.periodPs[0], loop.minPeriodPs);
 }

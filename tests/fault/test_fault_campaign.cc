@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -22,13 +24,14 @@ TEST(FaultCampaignTest, ActivationsAndExpirationsFireOnce)
     campaign.reset();
     std::vector<std::size_t> out;
 
+    EXPECT_DOUBLE_EQ(campaign.nextEdgeNs(), 1000.0);
     campaign.collectActivations(0.0, out);
     EXPECT_TRUE(out.empty());
 
     campaign.collectActivations(1000.0, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 0u);
-    EXPECT_TRUE(campaign.anyActive());
+    EXPECT_DOUBLE_EQ(campaign.nextEdgeNs(), 2000.0); // its expiry
 
     out.clear();
     campaign.collectActivations(1500.0, out); // already fired
@@ -44,13 +47,12 @@ TEST(FaultCampaignTest, ActivationsAndExpirationsFireOnce)
     campaign.collectActivations(2000.0, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 1u);
-    EXPECT_FALSE(campaign.allDone());
+    EXPECT_DOUBLE_EQ(campaign.nextEdgeNs(), 4000.0);
 
     out.clear();
     campaign.collectExpirations(4000.0, out);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(campaign.allDone());
-    EXPECT_FALSE(campaign.anyActive());
+    EXPECT_EQ(campaign.nextEdgeNs(), kInf); // every fault is done
 }
 
 TEST(FaultCampaignTest, PermanentFaultExpiresOnlyAtInfinity)
@@ -60,6 +62,7 @@ TEST(FaultCampaignTest, PermanentFaultExpiresOnlyAtInfinity)
     std::vector<std::size_t> out;
     campaign.collectActivations(0.0, out);
     ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(campaign.nextEdgeNs(), kInf);
     out.clear();
     campaign.collectExpirations(1e12, out);
     EXPECT_TRUE(out.empty());
@@ -74,9 +77,9 @@ TEST(FaultCampaignTest, ResetRearmsEveryFault)
     std::vector<std::size_t> out;
     campaign.collectActivations(0.0, out);
     campaign.collectExpirations(kInf, out);
-    EXPECT_TRUE(campaign.allDone());
+    EXPECT_EQ(campaign.nextEdgeNs(), kInf);
     campaign.reset();
-    EXPECT_FALSE(campaign.allDone());
+    EXPECT_DOUBLE_EQ(campaign.nextEdgeNs(), 0.0);
     out.clear();
     campaign.collectActivations(0.0, out);
     EXPECT_EQ(out.size(), 1u);
@@ -88,11 +91,18 @@ TEST(FaultCampaignTest, FormatParseRoundTrip)
                              "vrm-step:core=-1,start=2,mag=6";
     const FaultCampaign campaign = FaultCampaign::parse(text);
     ASSERT_EQ(campaign.size(), 2u);
-    const FaultCampaign back = FaultCampaign::parse(campaign.format());
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back.spec(0).kind, FaultKind::CpmStuckAt);
-    EXPECT_DOUBLE_EQ(back.spec(1).magnitude, 6.0);
+    EXPECT_EQ(campaign.spec(0).kind, FaultKind::CpmStuckAt);
+    EXPECT_DOUBLE_EQ(campaign.spec(1).magnitude, 6.0);
+    // Each spec formats back to its own text, so the ';'-joined
+    // formats replay the same campaign.
+    const FaultCampaign back =
+        FaultCampaign::parse(campaign.spec(0).format() + ';'
+                             + campaign.spec(1).format());
+    EXPECT_EQ(back.specs(), campaign.specs());
+    EXPECT_EQ(campaign.spec(0).format(),
+              "cpm-stuck:core=2,start=1,dur=3,mag=12");
     EXPECT_TRUE(FaultCampaign::parse("").empty());
+    EXPECT_TRUE(FaultCampaign::parse(";;").empty());
 }
 
 TEST(FaultCampaignTest, ValidateCoversEverySpec)
@@ -196,6 +206,69 @@ TEST_F(FaultInjectorTest, CpmRevertLeavesOtherCpmFaults)
     EXPECT_DOUBLE_EQ(delay(1), skipped1);
 }
 
+TEST_F(FaultInjectorTest, SameKindCpmFaultsNestOnOneSite)
+{
+    // Reverting the inner of two stuck faults on one site must put the
+    // outer one back; reverting the outer one leaves the site healthy.
+    const cpm::Cpm &site = chip_.core(2).cpmBank().site(0);
+    const FaultSpec outer =
+        FaultSpec::parse("cpm-stuck:core=2,site=0,start=1,dur=6,mag=12");
+    const FaultSpec inner =
+        FaultSpec::parse("cpm-stuck:core=2,site=0,start=2,dur=1,mag=24");
+    injector_.apply(outer);
+    injector_.apply(inner);
+    ASSERT_TRUE(site.stuckActive());
+    EXPECT_EQ(site.stuckOutputCount(), 24);
+    injector_.revert(inner);
+    ASSERT_TRUE(site.stuckActive());
+    EXPECT_EQ(site.stuckOutputCount(), 12);
+    injector_.revert(outer);
+    EXPECT_FALSE(site.stuckActive());
+    EXPECT_FALSE(site.faulted());
+
+    // The same for skipped segments, reverted outer first.
+    const FaultSpec skip_outer =
+        FaultSpec::parse("cpm-skip:core=2,site=0,start=1,dur=6,mag=2");
+    const FaultSpec skip_inner =
+        FaultSpec::parse("cpm-skip:core=2,site=0,start=2,dur=1,mag=5");
+    injector_.apply(skip_outer);
+    injector_.apply(skip_inner);
+    injector_.revert(skip_outer);
+    EXPECT_EQ(site.faults().skippedSegments, 5);
+    injector_.revert(skip_inner);
+    EXPECT_FALSE(site.faulted());
+}
+
+TEST_F(FaultInjectorTest, RestoresEverythingWhenItGoesOutOfScope)
+{
+    const double speed = chip_.core(3).silicon().speedFactor;
+    {
+        FaultInjector scoped(&chip_);
+        scoped.apply(FaultSpec::parse("aging-jump:core=3,mag=0.07"));
+        scoped.apply(FaultSpec::parse("thermal:core=3,mag=12.5"));
+        scoped.apply(FaultSpec::parse("vrm-step:core=-1,mag=4"));
+        scoped.apply(FaultSpec::parse("dropout:core=3"));
+        scoped.apply(FaultSpec::parse("cpm-skip:core=3,site=2,mag=3"));
+        EXPECT_TRUE(chip_.sensorDropout(3));
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  chip_.core(3).silicon().speedFactor),
+              std::bit_cast<std::uint64_t>(speed));
+    EXPECT_DOUBLE_EQ(chip_.thermal().faultOffsetC(3).value(), 0.0);
+    EXPECT_DOUBLE_EQ(chip_.pdn().faultCurrentA().value(), 0.0);
+    EXPECT_FALSE(chip_.sensorDropout(3));
+    EXPECT_FALSE(chip_.core(3).cpmBank().site(2).faulted());
+}
+
+TEST_F(FaultInjectorTest, RevertOfAnInactiveFaultPanics)
+{
+    const FaultSpec spec = FaultSpec::parse("dropout:core=1");
+    EXPECT_THROW(injector_.revert(spec), util::PanicError);
+    injector_.apply(spec);
+    injector_.revert(spec);
+    EXPECT_THROW(injector_.revert(spec), util::PanicError);
+}
+
 TEST_F(FaultInjectorTest, SensorDropoutTogglesDpll)
 {
     const FaultSpec spec = FaultSpec::parse("dropout:core=4");
@@ -233,14 +306,31 @@ TEST_F(FaultInjectorTest, VrmLoadStepAccumulates)
 
 TEST_F(FaultInjectorTest, AgingJumpScalesAndRestoresSilicon)
 {
-    const double before = chip_.core(2).silicon().speedFactor;
-    const FaultSpec spec =
-        FaultSpec::parse("aging-jump:core=2,mag=0.03");
-    injector_.apply(spec);
-    EXPECT_NEAR(chip_.core(2).silicon().speedFactor, before * 1.03,
-                1e-12);
-    injector_.revert(spec);
-    EXPECT_NEAR(chip_.core(2).silicon().speedFactor, before, 1e-12);
+    // Bit for bit on every core: a jump scales the speed factor by
+    // exactly (1 + mag), and its revert restores the saved factor
+    // (dividing by 1 + mag leaves some cores an ulp off).
+    const auto bits = [&](int core) {
+        return std::bit_cast<std::uint64_t>(
+            chip_.core(core).silicon().speedFactor);
+    };
+    for (int core = 0; core < chip_.coreCount(); ++core) {
+        for (int k = 0; k < 6; ++k) {
+            const double mag = 0.01 + 0.018 * k;
+            const double before = chip_.core(core).silicon().speedFactor;
+            const std::uint64_t before_bits = bits(core);
+            FaultSpec spec;
+            spec.kind = FaultKind::AgingJump;
+            spec.core = core;
+            spec.magnitude = mag;
+            injector_.apply(spec);
+            EXPECT_EQ(bits(core),
+                      std::bit_cast<std::uint64_t>(before * (1.0 + mag)))
+                << "core " << core << ", mag " << mag;
+            injector_.revert(spec);
+            EXPECT_EQ(bits(core), before_bits)
+                << "core " << core << ", mag " << mag;
+        }
+    }
 }
 
 TEST_F(FaultInjectorTest, ThermalExcursionOffsetsOneCore)

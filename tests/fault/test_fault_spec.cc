@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "fault/fault_spec.h"
@@ -38,6 +40,28 @@ TEST(FaultSpecTest, FormatParseRoundTrip)
     EXPECT_DOUBLE_EQ(back.startUs, spec.startUs);
     EXPECT_DOUBLE_EQ(back.durationUs, spec.durationUs);
     EXPECT_DOUBLE_EQ(back.magnitude, spec.magnitude);
+}
+
+TEST(FaultSpecTest, FormatIsExact)
+{
+    // Every double reads back with the bits it was written with, so a
+    // debug line names the fault exactly.
+    FaultSpec spec = FaultSpec::parse("aging-jump:core=1,mag=0.123456789");
+    spec.startUs = 0.1 + 0.2;
+    spec.durationUs = 1.0 / 3.0;
+    EXPECT_EQ(spec.format(),
+              "aging-jump:core=1,start=0.30000000000000004,"
+              "dur=0.3333333333333333,mag=0.123456789");
+    const FaultSpec back = FaultSpec::parse(spec.format());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.startUs),
+              std::bit_cast<std::uint64_t>(spec.startUs));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.durationUs),
+              std::bit_cast<std::uint64_t>(spec.durationUs));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.magnitude),
+              std::bit_cast<std::uint64_t>(spec.magnitude));
+    // A negative zero is not the default and is written out.
+    spec.magnitude = -0.0;
+    EXPECT_TRUE(std::signbit(FaultSpec::parse(spec.format()).magnitude));
 }
 
 TEST(FaultSpecTest, ParseDefaultsMissingFields)
@@ -158,6 +182,18 @@ TEST(FaultSpecTest, ValidateChecksMagnitudes)
         EXPECT_THROW(FaultSpec::parse(head + "site=0,mag=1e12").validate(8),
                      util::FatalError)
             << kind;
+    }
+
+    // A thermal offset is a temperature difference; none can reach
+    // absolute zero.
+    FaultSpec::parse("thermal:core=2,mag=-273.14").validate(8);
+    FaultSpec::parse("thermal:core=2,mag=1e6").validate(8);
+    for (const char *mag : {"-273.15", "-400", "-1e308"}) {
+        EXPECT_THROW(
+            FaultSpec::parse(std::string("thermal:core=2,mag=") + mag)
+                .validate(8),
+            util::FatalError)
+            << mag;
     }
 
     FaultSpec late = FaultSpec::parse("dropout:core=0,start=-1");
