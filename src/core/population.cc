@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "chip/chip.h"
 #include "core/characterizer.h"
 #include "core/limit_table.h"
-#include "exec/thread_pool.h"
 #include "obs/phase.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
@@ -221,29 +219,9 @@ studyPopulation(const PopulationConfig &config)
 {
     if (config.chipCount <= 0)
         util::fatal("population needs at least one chip");
-
-    // Each chip is generated from seedBase + index and characterized
-    // in its own task; the fold below then consumes the tables in
-    // chip order, so the aggregate matches the old sequential loop
-    // bitwise at every job count.
-    const std::vector<LimitTable> tables = exec::parallelMap<LimitTable>(
-        static_cast<std::size_t>(config.chipCount),
-        [&](std::size_t i) {
-            const std::string name = "POP" + std::to_string(i);
-            chip::Chip chip(variation::generateChip(
-                name, config.seedBase + i, config.generator));
-            Characterizer characterizer(&chip);
-            return characterizer.characterizeChip();
-        },
-        config.jobs);
-
     PopulationStats stats;
-    for (int i = 0; i < config.chipCount; ++i) {
-        foldChipSummary(
-            stats,
-            summarizeChip(i, tables[static_cast<std::size_t>(i)]),
-            config.robustSpread);
-    }
+    for (const ChipSummary &chip : studyShard(config, 0, config.chipCount))
+        foldChipSummary(stats, chip, config.robustSpread);
     return stats;
 }
 

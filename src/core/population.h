@@ -39,14 +39,6 @@ struct PopulationConfig
 
     /** Robustness threshold (uBench-to-worst spread). */
     int robustSpread = 1;
-
-    /**
-     * Parallelism over the generated chips (0 = process default,
-     * 1 = inline). Any value yields identical stats: each chip is
-     * generated from seedBase + index and characterized in its own
-     * task, and the tables fold into the aggregate in chip order.
-     */
-    int jobs = 0;
 };
 
 /** Aggregated population results. */
@@ -114,7 +106,7 @@ struct ChipSummary
  * Fold one chip into the aggregate. This is THE fold: both
  * studyPopulation() and the fleet supervisor's shard join call it,
  * chip-index order in both cases, so a sharded multi-process
- * campaign reproduces the single-process aggregate bit for bit.
+ * campaign reproduces the serial aggregate bit for bit.
  * Increments stats.chipCount.
  */
 void foldChipSummary(PopulationStats &stats, const ChipSummary &chip,
@@ -123,9 +115,8 @@ void foldChipSummary(PopulationStats &stats, const ChipSummary &chip,
 /**
  * Characterize chips [beginChip, endChip) of the configured
  * population -- the shard-range entry point of the fleet worker.
- * Each chip derives from seedBase + index exactly as in
- * studyPopulation(), so any partition of [0, chipCount) into ranges
- * folds back to the same aggregate.
+ * Each chip derives from seedBase + index alone, so any partition of
+ * [0, chipCount) into ranges folds back to the same aggregate.
  *
  * @param config Study parameters (chip identity, generator, seeds).
  * @param beginChip First chip index of the range.
@@ -140,7 +131,10 @@ studyShard(const PopulationConfig &config, int beginChip, int endChip,
            const std::function<void(int)> &chipDone = {});
 
 /**
- * Run the study.
+ * Run the study serially: one studyShard() over the whole population,
+ * folded in chip order. This is the reference the fleet campaign
+ * (fleet::runFleetCampaign, the parallel runner) must match bit for
+ * bit; fatal() on an empty population.
  *
  * @param config Study parameters.
  * @return Aggregated statistics over the population.

@@ -28,6 +28,30 @@ FaultCampaign::validate(int core_count) const
 {
     for (const FaultSpec &spec : faults_)
         spec.validate(core_count);
+
+    // Overlapping thermal offsets on a core add (FaultInjector), so
+    // the sum, not just each spec, must stay above -273.15 degC. The
+    // sum only changes at a thermal fault's start or end: check there.
+    const auto offset_at = [&](int core, double t_ns) {
+        double sum = 0.0;
+        for (const FaultSpec &f : faults_) {
+            if (f.kind == FaultKind::ThermalExcursion && f.core == core
+                && f.startNs() <= t_ns && t_ns < f.endNs())
+                sum += f.magnitude;
+        }
+        return sum;
+    };
+    for (const FaultSpec &spec : faults_) {
+        if (spec.kind != FaultKind::ThermalExcursion)
+            continue;
+        for (const double t_ns : {spec.startNs(), spec.endNs()}) {
+            const double sum = offset_at(spec.core, t_ns);
+            if (sum <= -273.15)
+                util::fatal("overlapping thermal faults on core ", spec.core,
+                            " sum to ", sum, " degC at ", t_ns * 1e-3,
+                            " us; the offset must exceed -273.15 degC");
+        }
+    }
 }
 
 FaultCampaign

@@ -34,7 +34,10 @@ class FaultCampaign
     /** All armed faults. */
     const std::vector<FaultSpec> &specs() const { return faults_; }
 
-    /** Validate every fault against a chip; fatal() on violation. */
+    /**
+     * Validate every fault against a chip, and the summed offset of
+     * overlapping thermal faults on a core; fatal() on violation.
+     */
     void validate(int core_count) const;
 
     /** Parse a ';'-separated spec string (empty string = no faults). */

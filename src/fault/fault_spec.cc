@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "circuit/constants.h"
@@ -157,6 +158,7 @@ FaultSpec::parse(const std::string &text)
 
     std::istringstream fields(text.substr(colon + 1));
     std::string field;
+    std::set<std::string> seen;
     while (std::getline(fields, field, ',')) {
         if (field.empty())
             continue;
@@ -166,6 +168,9 @@ FaultSpec::parse(const std::string &text)
                         text, "'");
         const std::string key = field.substr(0, eq);
         const std::string value = field.substr(eq + 1);
+        if (!seen.insert(key).second)
+            util::fatal("fault field '", key, "' given twice in '", text,
+                        "'");
         if (key == "core")
             spec.core = fieldNumber<int>(key, value, text);
         else if (key == "site")

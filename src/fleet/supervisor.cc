@@ -244,24 +244,21 @@ struct ShardOutcome
 
 /**
  * In-process driver: same shard/fold path, no processes. Shards run
- * in waves of up to `population.jobs` on the exec pool; each wave
- * then completes, folds, checkpoints and halts one shard at a time in
- * shard order, exactly as a serial loop over the shards does. A
- * shard's error surfaces at its turn, after the shards before it.
+ * in waves of up to the process default job count (--jobs) on the
+ * exec pool; each wave then completes, folds, checkpoints and halts
+ * one shard at a time in shard order, exactly as a serial loop over
+ * the shards does. A shard's error surfaces at its turn, after the
+ * shards before it.
  */
 void
 runInProcess(const FleetConfig &config, Fold &fold, bool &halted)
 {
-    if (config.failInject.enabled())
-        util::warn("fleet: --fail-inject needs forked workers "
-                   "(--workers >= 1); ignoring");
     // Shards at or beyond a halt are never folded, so never run.
     const long stop = config.haltAfterShards >= 0
                           ? std::min(config.haltAfterShards,
                                      fold.shardCount())
                           : fold.shardCount();
-    const auto wave_size = static_cast<std::size_t>(
-        exec::resolveJobs(config.population.jobs));
+    const auto wave_size = static_cast<std::size_t>(exec::defaultJobs());
     long next = 0;
     while (next < fold.shardCount() && !halted) {
         // needsRun() of a shard not yet reached cannot change before
@@ -289,8 +286,7 @@ runInProcess(const FleetConfig &config, Fold &fold, bool &halted)
                         out.error = std::current_exception();
                     }
                     return out;
-                },
-                config.population.jobs);
+                });
         const long last = wave.empty() ? fold.shardCount() - 1
                                        : wave.back();
         std::size_t k = 0;
@@ -822,6 +818,9 @@ validateConfig(const FleetConfig &config)
     if (config.workers < 0)
         util::fatal("fleet: --workers must be >= 0, got ",
                     config.workers);
+    if (config.workers == 0 && config.failInject.enabled())
+        util::fatal("fleet: --fail-inject needs forked workers "
+                    "(--workers >= 1)");
     if (config.shardSize <= 0)
         util::fatal("fleet: --shard-size must be positive, got ",
                     config.shardSize);

@@ -25,8 +25,7 @@
  * core::foldChipSummary and MetricsRegistry::mergeFrom in strict
  * shard-index order, so the aggregate of a fleet run -- any worker
  * count, any crash/retry/resume history short of abandoned shards --
- * is bitwise-identical to the single-process core::studyPopulation
- * aggregate.
+ * is bitwise-identical to the serial core::studyPopulation fold.
  */
 
 #pragma once
@@ -48,8 +47,8 @@ struct FleetConfig
 
     /**
      * Forked worker processes. 0 runs the campaign in-process
-     * through the identical shard/fold path (no fork, no fault
-     * injection) -- the serial reference the tests compare against.
+     * through the identical shard/fold path, in waves of the process
+     * default job count (no fork, so no fault injection).
      */
     int workers = 0;
 
@@ -80,7 +79,8 @@ struct FleetConfig
     /** Base retry backoff; doubles per failed attempt of a shard. */
     double backoffSeconds = 0.25;
 
-    /** Deterministic worker fault injection (forked mode only). */
+    /** Deterministic worker fault injection (forked workers only;
+     *  fatal with workers == 0). */
     FailInject failInject;
 
     /**

@@ -13,6 +13,8 @@
 
 #include "core/characterizer.h"
 #include "core/population.h"
+#include "exec/thread_pool.h"
+#include "fleet/supervisor.h"
 #include "obs/metrics.h"
 #include "variation/reference_chips.h"
 #include "workload/catalog.h"
@@ -144,12 +146,17 @@ TEST(ParallelDeterminism, RollbackMatrixIdenticalAcrossJobCounts)
 
 TEST(ParallelDeterminism, PopulationStatsIdenticalAcrossJobCounts)
 {
-    PopulationConfig config;
-    config.chipCount = 4;
-    config.jobs = 1;
-    const PopulationStats want = studyPopulation(config);
-    config.jobs = 3;
-    const PopulationStats got = studyPopulation(config);
+    // The in-process fleet campaign runs shards in waves of the
+    // process default job count.
+    fleet::FleetConfig config;
+    config.population.chipCount = 4;
+    config.shardSize = 1;
+    const int before = exec::defaultJobs();
+    exec::setDefaultJobs(1);
+    const PopulationStats want = fleet::runFleetCampaign(config).stats;
+    exec::setDefaultJobs(3);
+    const PopulationStats got = fleet::runFleetCampaign(config).stats;
+    exec::setDefaultJobs(before);
 
     EXPECT_EQ(want.differentials, got.differentials);
     EXPECT_EQ(want.idleLimitMhz.mean(), got.idleLimitMhz.mean());

@@ -113,6 +113,37 @@ TEST(FaultCampaignTest, ValidateCoversEverySpec)
     EXPECT_THROW(campaign.spec(5), util::FatalError);
 }
 
+TEST(FaultCampaignTest, ValidateBoundsTheSummedThermalOffset)
+{
+    // Each offset alone is legal; the overlay adds the overlap.
+    const auto validate = [](const char *text) {
+        FaultCampaign::parse(text).validate(8);
+    };
+    EXPECT_THROW(validate("thermal:core=2,start=1,dur=5,mag=-200;"
+                          "thermal:core=2,start=2,dur=3,mag=-200"),
+                 util::FatalError);
+    // Permanent faults overlap everything after their start.
+    EXPECT_THROW(validate("thermal:core=2,start=4,mag=-200;"
+                          "thermal:core=2,start=1,mag=-200"),
+                 util::FatalError);
+    // The sum can fall at an end: a positive offset expiring under a
+    // longer negative one.
+    EXPECT_THROW(validate("thermal:core=2,start=0,dur=5,mag=100;"
+                          "thermal:core=2,start=1,dur=9,mag=-300"),
+                 util::FatalError);
+    // Back to back (half-open windows), other cores and other kinds
+    // never add.
+    EXPECT_NO_THROW(validate("thermal:core=2,start=1,dur=1,mag=-200;"
+                             "thermal:core=2,start=2,dur=3,mag=-200"));
+    EXPECT_NO_THROW(validate("thermal:core=2,start=1,dur=5,mag=-200;"
+                             "thermal:core=3,start=2,dur=3,mag=-200"));
+    EXPECT_NO_THROW(validate("thermal:core=2,start=1,dur=5,mag=-200;"
+                             "thermal:core=2,start=2,dur=3,mag=100;"
+                             "thermal:core=2,start=2,dur=3,mag=-150"));
+    EXPECT_NO_THROW(validate("thermal:core=2,start=1,dur=5,mag=-200;"
+                             "droop-storm:core=2,start=2,dur=3,mag=1"));
+}
+
 class FaultInjectorTest : public ::testing::Test
 {
   protected:

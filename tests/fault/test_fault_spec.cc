@@ -95,6 +95,17 @@ TEST(FaultSpecTest, ParseRejectsMalformedInput)
     EXPECT_THROW(FaultSpec::parse("warp-core:core=1"), util::FatalError);
 }
 
+TEST(FaultSpecTest, ParseRejectsAFieldGivenTwice)
+{
+    // Last-one-wins would inject somewhere the first field never said.
+    for (const char *text :
+         {"thermal:core=2,start=1,dur=5,mag=5,mag=25,core=3",
+          "thermal:core=2,core=2", "cpm-stuck:core=1,site=0,site=1",
+          "dropout:core=0,start=1,start=1", "thermal:core=0,dur=1,dur=2"}) {
+        EXPECT_THROW(FaultSpec::parse(text), util::FatalError) << text;
+    }
+}
+
 TEST(FaultSpecTest, ParseRejectsTrailingText)
 {
     // Every numeric field must be a number and nothing else.

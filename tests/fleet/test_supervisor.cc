@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/population.h"
+#include "exec/thread_pool.h"
 #include "fleet/checkpoint.h"
 #include "fleet/supervisor.h"
 #include "util/json_writer.h"
@@ -83,10 +84,8 @@ TEST(Supervisor, InProcessMatchesStudyPopulationBitwise)
 {
     const FleetConfig config = smallCampaign();
     const FleetResult result = runFleetCampaign(config);
-    core::PopulationConfig serial = config.population;
-    serial.jobs = 1;
     EXPECT_EQ(statsDoc(result.stats),
-              statsDoc(core::studyPopulation(serial)));
+              statsDoc(core::studyPopulation(config.population)));
     EXPECT_EQ(result.coverage.shardsTotal, 3);
     EXPECT_EQ(result.coverage.shardsCompleted, 3);
     EXPECT_EQ(result.coverage.shardsFailed, 0);
@@ -179,11 +178,12 @@ TEST(Supervisor, HaltAndResumeIsBitwiseExactAtEveryCut)
     const std::string reference =
         resultDoc(runFleetCampaign(smallCampaign()));
     // The process default, and in-process shards in waves of 4.
-    for (const int jobs : {0, 4}) {
+    const int before = exec::defaultJobs();
+    for (const int jobs : {before, 4}) {
+        exec::setDefaultJobs(jobs);
         for (const long cut : {1L, 2L}) {
             ScratchDir dir("cut" + std::to_string(cut));
             FleetConfig halted = smallCampaign();
-            halted.population.jobs = jobs;
             halted.checkpointDir = dir.path();
             halted.haltAfterShards = cut;
             const FleetResult partial = runFleetCampaign(halted);
@@ -191,7 +191,6 @@ TEST(Supervisor, HaltAndResumeIsBitwiseExactAtEveryCut)
             EXPECT_EQ(partial.coverage.shardsCompleted, cut);
 
             FleetConfig resumed = smallCampaign();
-            resumed.population.jobs = jobs;
             resumed.checkpointDir = dir.path();
             resumed.resume = true;
             const FleetResult full = runFleetCampaign(resumed);
@@ -201,6 +200,7 @@ TEST(Supervisor, HaltAndResumeIsBitwiseExactAtEveryCut)
                 << "jobs " << jobs << ", cut at " << cut;
         }
     }
+    exec::setDefaultJobs(before);
 }
 
 TEST(Supervisor, ForkedHaltAndResumeIsBitwiseExact)
@@ -300,6 +300,9 @@ TEST(Supervisor, ValidatesConfiguration)
     EXPECT_THROW((void)runFleetCampaign(config), util::FatalError);
     config = smallCampaign();
     config.maxRetries = -1;
+    EXPECT_THROW((void)runFleetCampaign(config), util::FatalError);
+    config = smallCampaign(); // in process: nothing to inject into
+    config.failInject = FailInject::parse("shard=1");
     EXPECT_THROW((void)runFleetCampaign(config), util::FatalError);
 }
 
