@@ -281,6 +281,10 @@ class BenchSession
         manifest_.engineWallSeconds += result.wallSeconds;
         manifest_.engineSimNs += result.durationNs;
         manifest_.engineFastForwardedSteps += result.fastForwardedSteps;
+        manifest_.engineFactorFallbacksControl +=
+            result.factorFallbacks.control;
+        manifest_.engineFactorFallbacksDeficit +=
+            result.factorFallbacks.deficit;
         for (const auto &stat : result.phaseStats)
             mergePhase(stat);
         for (const auto &[name, value] : result.safety.named())

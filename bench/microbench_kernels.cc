@@ -47,6 +47,37 @@ BM_PdnStep(benchmark::State &state)
 }
 BENCHMARK(BM_PdnStep);
 
+/** Core voltages across a droop, cycled so no call can be hoisted. */
+double
+sweepVolts(std::size_t i)
+{
+    return 1.18 + 0.0007 * static_cast<double>(i % 128);
+}
+
+void
+BM_DelayFactor(benchmark::State &state)
+{
+    // The exact alpha-power factor: two `pow` calls.
+    const circuit::DelayModel &model = referenceChip().delayModel();
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model.factor(util::Volts{sweepVolts(i++)},
+                                              util::Celsius{48.0}));
+}
+BENCHMARK(BM_DelayFactor);
+
+void
+BM_DelayFactorBracket(benchmark::State &state)
+{
+    // The engine's filter: a table lookup and a chord, no `pow`.
+    const circuit::DelayModel &model = referenceChip().delayModel();
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model.factorBracket(
+            util::Volts{sweepVolts(i++)}, util::Celsius{48.0}));
+}
+BENCHMARK(BM_DelayFactorBracket);
+
 void
 BM_CpmBankWorstCount(benchmark::State &state)
 {

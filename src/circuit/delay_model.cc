@@ -21,8 +21,36 @@ DelayModel::DelayModel(Volts vth, double alpha, Volts v_nominal,
 DelayModel
 DelayModel::makeDefault()
 {
-    return DelayModel(kVth, kAlpha, kVddNominal, kTempNominal,
-                      kTempDelayCoeffPerC);
+    DelayModel model(kVth, kAlpha, kVddNominal, kTempNominal,
+                     kTempDelayCoeffPerC);
+    // One table per process, whatever the number of chips: a table
+    // per model costs every chip 24 KiB and the set-up time to fill it.
+    static const GridTable table = model.buildTable();
+    model.table_ = &table;
+    return model;
+}
+
+DelayModel::GridTable
+DelayModel::buildTable() const
+{
+    if (vth_.value() >= kGridLoV)
+        util::panic("delay-model grid starts at or below Vth");
+    const double h = 1.0 / kGridNodesPerVolt;
+    GridTable table{};
+    for (std::size_t i = 0; i < kGridIntervals; ++i) {
+        const double left = kGridLoV + static_cast<double>(i) * h;
+        const double rawLeft = raw(left) / rawNominal_;
+        const double rawRight = raw(left + h) / rawNominal_;
+        // raw'' = alpha u^(-alpha-2) ((alpha-1) v + 2 Vth), u = v - Vth:
+        // positive (raw is convex) and falling in v, so the left node
+        // bounds it over the interval.
+        const double u = left - vth_.value();
+        const double rawCurv = alpha_ * std::pow(u, -alpha_ - 2.0)
+                             * ((alpha_ - 1.0) * left + 2.0 * vth_.value());
+        table[i] = {rawLeft, rawRight - rawLeft,
+                    h * h / 8.0 * rawCurv / rawNominal_};
+    }
+    return table;
 }
 
 double
@@ -39,52 +67,6 @@ DelayModel::factor(Volts v, Celsius t) const
                     vth_.value(), " V");
     const double volt_part = raw(v.value()) / rawNominal_;
     return volt_part * nominalSupplyFactor(t);
-}
-
-double
-DelayModel::nominalSupplyFactor(Celsius t) const
-{
-    return 1.0 + tempCoeff_ * (t - tNominal_).value();
-}
-
-double
-DelayModel::dFactorDv(Volts v, Celsius t) const
-{
-    // d/dV [ V (V-Vth)^-a ] = (V-Vth)^-a - a V (V-Vth)^-(a+1)
-    const double body = (v - vth_).value();
-    const double draw = std::pow(body, -alpha_)
-                      - alpha_ * v.value() * std::pow(body, -(alpha_ + 1.0));
-    return draw / rawNominal_ * nominalSupplyFactor(t);
-}
-
-double
-DelayModel::sensitivityPerVolt(Volts v, Celsius t) const
-{
-    return -dFactorDv(v, t) / factor(v, t);
-}
-
-Volts
-DelayModel::voltageForFactor(double target, Celsius t) const
-{
-    if (target <= 0.0)
-        util::fatal("delay factor target must be positive, got ", target);
-    double v = vNominal_.value();
-    const double floor = vth_.value() + 1e-4;
-    for (int iter = 0; iter < 60; ++iter) {
-        const double f = factor(Volts{v}, t) - target;
-        const double df = dFactorDv(Volts{v}, t);
-        const double step = f / df;
-        double next = v - step;
-        // Keep the iterate in the valid domain.
-        if (next <= floor)
-            next = (v + floor) / 2.0;
-        if (std::abs(next - v) < 1e-12) {
-            v = next;
-            break;
-        }
-        v = next;
-    }
-    return Volts{v};
 }
 
 } // namespace atmsim::circuit

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "circuit/constants.h"
 #include "util/logging.h"
@@ -331,9 +332,17 @@ SafetyMonitor::onSample(util::Nanoseconds now,
             period * (1.0 + config_.probePeriodFrac);
         const util::Picoseconds fast_ps =
             period * (1.0 - 4.0 * config_.probePeriodFrac);
-        if (c.cpmBank().probeInsensitive(
-                slow_ps.value(), fast_ps.value(),
-                chip_->delayModel().factor(v, t_c))) {
+        // The probe runs over the delay-factor bracket first, as the
+        // engine's CPM scan does; only an undecided verdict pays for
+        // the exact factor.
+        const cpm::CpmBank &bank = c.cpmBank();
+        const std::optional<bool> bracketed = bank.probeInsensitiveBracket(
+            slow_ps.value(), fast_ps.value(),
+            chip_->delayModel().factorBracket(v, t_c));
+        if (bracketed.has_value()
+                ? *bracketed
+                : bank.probeInsensitive(slow_ps.value(), fast_ps.value(),
+                                        chip_->delayModel().factor(v, t_c))) {
             if (++cs.insensitiveSamples >= config_.stuckSampleWindow)
                 anomaly = true;
         } else {

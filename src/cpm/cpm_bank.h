@@ -10,12 +10,20 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "cpm/cpm.h"
 #include "util/hotpath_annotations.h"
 
 namespace atmsim::cpm {
+
+/** worstCount at the two ends of a delay-factor bracket. */
+struct CountBracket
+{
+    int atHi; ///< At the bracket's hi factor: the fewest counts.
+    int atLo; ///< At the bracket's lo factor: the most counts.
+};
 
 /** Bank of CPM sites within one core. */
 class CpmBank
@@ -73,6 +81,37 @@ class CpmBank
     }
 
     /**
+     * worstCount at both ends of a delay-factor bracket, in one pass
+     * that shares each site's nominal * speed product. A site's count
+     * cannot rise as the factor rises: the multiply, the subtraction,
+     * the division and the truncation each keep that order under IEEE
+     * rounding. So for every f in the bracket,
+     * atHi <= worstCount(periodPs, f) <= atLo, and equal counts are
+     * the exact count.
+     */
+    ATM_HOT_PATH(engine_step)
+    [[nodiscard]] CountBracket
+    worstCountBracket(double periodPs,
+                      circuit::FactorBracket factor) const noexcept
+    {
+        const Scale lo = scaleAt(factor.lo);
+        const Scale hi = scaleAt(factor.hi);
+        CountBracket worst{std::numeric_limits<int>::max(),
+                           std::numeric_limits<int>::max()};
+        for (const Cpm &site : sites_) {
+            if (site.stuckActive()) {
+                worst.atHi = std::min(worst.atHi, site.stuckOutputCount());
+                worst.atLo = std::min(worst.atLo, site.stuckOutputCount());
+                continue;
+            }
+            const double basePs = site.nominalPs() * lo.speed;
+            worst.atHi = std::min(worst.atHi, quantize(periodPs, basePs, hi));
+            worst.atLo = std::min(worst.atLo, quantize(periodPs, basePs, lo));
+        }
+        return worst;
+    }
+
+    /**
      * Stuck-sensor probe: true when any site reads the same count,
      * above 0, at a longer period `slowPs` and a shorter period
      * `fastPs`. A healthy quantizer loses counts when the probe
@@ -90,6 +129,42 @@ class CpmBank
             if (slow == fast && slow > 0)
                 return true;
         }
+        return false;
+    }
+
+    /**
+     * probeInsensitive over a delay-factor bracket. A site whose slow
+     * and fast counts each agree at both ends reads its exact counts
+     * (see worstCountBracket); the verdict is exact once such a site
+     * is insensitive, or once every site agrees. Otherwise nullopt:
+     * the caller probes at the exact factor.
+     */
+    ATM_HOT_PATH(engine_step)
+    [[nodiscard]] std::optional<bool>
+    probeInsensitiveBracket(double slowPs, double fastPs,
+                            circuit::FactorBracket factor) const noexcept
+    {
+        const Scale lo = scaleAt(factor.lo);
+        const Scale hi = scaleAt(factor.hi);
+        bool decided = true;
+        for (const Cpm &site : sites_) {
+            if (site.stuckActive()) {
+                if (site.stuckOutputCount() > 0)
+                    return true;
+                continue;
+            }
+            const double basePs = site.nominalPs() * lo.speed;
+            const int slow = quantize(slowPs, basePs, hi);
+            const int fast = quantize(fastPs, basePs, hi);
+            if (slow != quantize(slowPs, basePs, lo)
+                || fast != quantize(fastPs, basePs, lo)) {
+                decided = false;
+            } else if (slow == fast && slow > 0) {
+                return true;
+            }
+        }
+        if (!decided)
+            return std::nullopt;
         return false;
     }
 
@@ -114,22 +189,28 @@ class CpmBank
     }
 
     /**
-     * One site's output count, with Cpm::outputCount's association:
-     * monitored = (nominal * speed) * factor, and the slack is
-     * quantized in steps of the scaled chain step, saturating at the
-     * chain length.
+     * One unstuck site's output count, with Cpm::outputCount's
+     * association: monitored = (nominal * speed) * factor, where
+     * `basePs` is nominal * speed, and the slack is quantized in steps
+     * of the scaled chain step, saturating at the chain length.
      */
+    [[nodiscard]] static int quantize(double periodPs, double basePs,
+                                      const Scale &scale) noexcept
+    {
+        const double slack = periodPs - basePs * scale.delayFactor;
+        if (slack <= 0.0)
+            return 0;
+        const int count = static_cast<int>(slack / scale.effectiveStepPs);
+        return std::min(count, scale.chainLength);
+    }
+
+    /** One site's output count (quantize, or the pinned count). */
     [[nodiscard]] static int outputOf(const Cpm &site, double periodPs,
                                       const Scale &scale) noexcept
     {
         if (site.stuckActive())
             return site.stuckOutputCount();
-        const double slack =
-            periodPs - site.nominalPs() * scale.speed * scale.delayFactor;
-        if (slack <= 0.0)
-            return 0;
-        const int count = static_cast<int>(slack / scale.effectiveStepPs);
-        return std::min(count, scale.chainLength);
+        return quantize(periodPs, site.nominalPs() * scale.speed, scale);
     }
 
     const variation::CoreSiliconParams *core_;

@@ -101,6 +101,10 @@ RunManifest::writeJson(std::ostream &os) const
     json.field("mode", engineMode);
     json.field("fast_forwarded_steps", engineFastForwardedSteps);
     json.field("speedup", fastForwardSpeedup());
+    json.key("factor_fallbacks").beginObject();
+    json.field("control", engineFactorFallbacksControl);
+    json.field("deficit", engineFactorFallbacksDeficit);
+    json.endObject();
     json.key("phases").beginArray();
     for (const PhaseStat &phase : phases) {
         json.beginObject();

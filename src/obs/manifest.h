@@ -150,6 +150,11 @@ struct RunManifest
      *  engineSteps; 0 outside sampled mode). */
     long engineFastForwardedSteps = 0;
 
+    /** Delay-factor filter fallbacks (sim::FactorFallbacks), summed:
+     *  CPM scans and violation tests that ran the exact factor. */
+    long engineFactorFallbacksControl = 0;
+    long engineFactorFallbacksDeficit = 0;
+
     /** Engine throughput; the CI regression gate reads this. */
     [[nodiscard]] double stepsPerSec() const;
 

@@ -100,6 +100,19 @@ struct SafetyCounters
     [[nodiscard]] std::vector<std::pair<const char *, double>> named() const;
 };
 
+/**
+ * Exact-path fallbacks of the engine's delay-factor filter in one run
+ * (DESIGN.md, engine architecture): how often a bracket from
+ * DelayModel::factorBracket could not decide and DelayModel::factor
+ * ran. Host-side bookkeeping, like the wall time: the results are the
+ * same bits either way, so digest() leaves it out.
+ */
+struct FactorFallbacks
+{
+    long control = 0; ///< CPM scans whose bracketed counts differed.
+    long deficit = 0; ///< Violation tests with a deficit maybe > 0.
+};
+
 /** Per-core statistics of one run. */
 struct CoreRunStats
 {
@@ -142,6 +155,9 @@ struct RunResult
      * being cycle-stepped). 0 in Soa mode.
      */
     long fastForwardedSteps = 0;
+
+    /** Delay-factor filter fallbacks (not part of digest()). */
+    FactorFallbacks factorFallbacks;
 
     /** Wall-clock time spent inside run() (seconds; always filled). */
     double wallSeconds = 0.0;

@@ -903,6 +903,7 @@ SimEngine::run(double duration_us)
 
     // --- Run performance record + final observability flush.
     result.steps = step;
+    result.factorFallbacks = soa.factorFallbacks();
     result.wallSeconds =
         (obs::monotonicWallNs() - run_start_wall_ns) * 1e-9;
     if (profiler.enabled())

@@ -35,6 +35,7 @@
 #include "circuit/delay_model.h"
 #include "cpm/cpm_bank.h"
 #include "dpll/dpll.h"
+#include "sim/run_result.h"
 #include "util/hotpath_annotations.h"
 #include "util/quantity.h"
 
@@ -119,10 +120,20 @@ class EngineSoaState
             const chip::AtmCore &core = cores_[c];
             if (core.mode() != chip::CoreMode::AtmOverclock)
                 continue;
-            const double f = model_->factor(util::Volts{v},
-                                            util::Celsius{tempC_[c]});
-            const int margin =
-                core.cpmBank().worstCount(loops.dpll.periodPs[c], f);
+            // The factor filter: counts at both ends of the bracket
+            // that agree are the exact count (CpmBank::
+            // worstCountBracket); only a split pays for the pow.
+            const util::Volts volts{v};
+            const util::Celsius temp{tempC_[c]};
+            const double period = loops.dpll.periodPs[c];
+            const cpm::CpmBank &bank = core.cpmBank();
+            const cpm::CountBracket counts = bank.worstCountBracket(
+                period, model_->factorBracket(volts, temp));
+            int margin = counts.atHi;
+            if (counts.atHi != counts.atLo) {
+                ++fallbacks_.control;
+                margin = bank.worstCount(period, model_->factor(volts, temp));
+            }
             loops.lastWorst[c] = margin;
             loops.dpll.observe(c, nowNs, margin);
         }
@@ -136,27 +147,33 @@ class EngineSoaState
      * real paths see deeper local droops than the shared grid
      * reports, which is what their larger characterization rollbacks
      * reflect. The caller handles Gated cores (always meet timing).
+     *
+     * The deficit rises with the delay factor, so it is first taken
+     * at the factor bracket's hi end: a value there that is not
+     * positive is returned as is (the exact deficit is no larger).
+     * Only a deficit that might be positive pays for the exact
+     * factor, so a positive return is always the exact deficit.
      */
     ATM_HOT_PATH(engine_step)
-    [[nodiscard]] double timingDeficitPs(std::size_t core) const noexcept
+    [[nodiscard]] double timingDeficitPs(std::size_t core) noexcept
     {
         const chip::ControlLoops &loops = *loops_;
-        const variation::CoreSiliconParams &silicon =
-            cores_[core].silicon();
         const double v = coreV_[core];
         double vEff = v;
         if (loops.vSlowValid[core]) {
             vEff = loops.vSlow[core]
-                 - (loops.vSlow[core] - v) * silicon.didtVulnerability;
+                 - (loops.vSlow[core] - v)
+                       * cores_[core].silicon().didtVulnerability;
             vEff = std::max(vEff, 0.6);
         }
-        const double real =
-            basePathPs_[core]
-                * (silicon.speedFactor
-                   * model_->factor(util::Volts{vEff},
-                                    util::Celsius{tempC_[core]}))
-            + noisePs_;
-        return real - periodPs(core);
+        const util::Volts volts{vEff};
+        const util::Celsius temp{tempC_[core]};
+        const double bound =
+            deficitAt(core, model_->factorBracket(volts, temp).hi);
+        if (bound <= 0.0)
+            return bound;
+        ++fallbacks_.deficit;
+        return deficitAt(core, model_->factor(volts, temp));
     }
 
     /** Current clock period (chip::Chip::periodPs over the arrays). */
@@ -208,6 +225,12 @@ class EngineSoaState
         return loops_->lastWorst[core];
     }
 
+    /** Delay-factor filter fallbacks this run. */
+    [[nodiscard]] FactorFallbacks factorFallbacks() const
+    {
+        return fallbacks_;
+    }
+
     /** Total DPLL period adjustments this run (settling gate). */
     [[nodiscard]] long dpllAdjustments() const
     {
@@ -215,6 +238,17 @@ class EngineSoaState
     }
 
   private:
+    /** timingDeficitPs at a given delay factor. */
+    [[nodiscard]] double deficitAt(std::size_t core,
+                                   double factor) const noexcept
+    {
+        const double real =
+            basePathPs_[core]
+                * (cores_[core].silicon().speedFactor * factor)
+            + noisePs_;
+        return real - periodPs(core);
+    }
+
     // The chip's cores (configuration, read in place) and control
     // loops (stepped in place).
     std::span<const chip::AtmCore> cores_;
@@ -230,6 +264,8 @@ class EngineSoaState
     const circuit::DelayModel *model_ = nullptr;
     double gatedPeriodPs_ = 0.0;
     double noisePs_ = 0.0;
+
+    FactorFallbacks fallbacks_;
 };
 
 } // namespace atmsim::sim

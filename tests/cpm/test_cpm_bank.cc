@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "circuit/constants.h"
 #include "cpm/cpm_bank.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/units.h"
 #include "variation/calibration.h"
 
@@ -165,6 +167,72 @@ TEST_F(CpmBankTest, ProbeKernelMatchesPerSiteOutputCount)
     bank.setFaults(2, {.stuckCount = 9});
     check("stuck at 9");
     EXPECT_TRUE(kernel(loop * 1.05, loop * 0.8, Volts{1.25}));
+}
+
+TEST_F(CpmBankTest, BracketedCountsMatchTheExactCount)
+{
+    // The engine's factor filter: over random voltages, temperatures,
+    // aged speed factors and faults, the counts at the two ends of a
+    // factor bracket enclose worstCount at the exact factor, counts
+    // that agree equal it, and a decided probe verdict is the exact
+    // one. Half the periods are random; the other half put site 0's
+    // exact slack within a hair of a quantizer step, where the
+    // bracket is most likely to split.
+    CpmBank bank(&core_, model_.get());
+    bank.setReduction(CpmSteps{4});
+    util::Rng rng(0xB7AC);
+    long agreed = 0, split = 0, decided = 0, undecided = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        core_.speedFactor = rng.uniform(0.97, 1.08);
+        for (int s = 0; s < static_cast<int>(bank.siteCount()); ++s)
+            bank.setFaults(s, {});
+        const int faulty = 1 + static_cast<int>(rng.below(4));
+        if (trial % 3 == 1)
+            bank.setFaults(faulty, {.stuckCount = static_cast<int>(
+                                        rng.below(12))});
+        else if (trial % 3 == 2)
+            bank.setFaults(faulty, {.stuckCount = std::nullopt,
+                                    .skippedSegments = 2});
+        const Volts v{rng.uniform(0.5, 1.5)};
+        const Celsius t{rng.uniform(-40.0, 150.0)};
+        const double f = model_->factor(v, t);
+        const circuit::FactorBracket b = model_->factorBracket(v, t);
+
+        double period = rng.uniform(100.0, 400.0);
+        if (trial % 2 == 1) {
+            const Cpm &site = bank.site(0);
+            const double speed = core_.speedFactor;
+            const double step = site.chain().stepPs().value() * (f * speed);
+            period = site.nominalPs() * speed * f
+                   + static_cast<double>(rng.below(16)) * step
+                   + rng.uniform(-1e-4, 1e-4);
+        }
+        const CountBracket counts = bank.worstCountBracket(period, b);
+        const int exact = bank.worstCount(period, f);
+        ASSERT_LE(counts.atHi, exact) << "trial " << trial;
+        ASSERT_GE(counts.atLo, exact) << "trial " << trial;
+        if (counts.atHi == counts.atLo) {
+            ASSERT_EQ(counts.atHi, exact) << "trial " << trial;
+            ++agreed;
+        } else {
+            ++split;
+        }
+
+        const double fast = period * 0.76;
+        const std::optional<bool> verdict =
+            bank.probeInsensitiveBracket(period, fast, b);
+        if (verdict.has_value()) {
+            ASSERT_EQ(*verdict, bank.probeInsensitive(period, fast, f))
+                << "trial " << trial;
+            ++decided;
+        } else {
+            ++undecided;
+        }
+    }
+    EXPECT_GT(agreed, 0);
+    EXPECT_GT(split, 0);
+    EXPECT_GT(decided, 0);
+    EXPECT_GT(undecided, 0);
 }
 
 TEST_F(CpmBankTest, ReductionValidation)

@@ -298,6 +298,10 @@ def validate_manifest(manifest: dict) -> None:
         mode == "sampled" or fast_forwarded == 0,
         f"fast_forwarded_steps nonzero in '{mode}' mode",
     )
+    fallbacks = check_type(engine, "factor_fallbacks", dict)
+    control = check_type(fallbacks, "control", int)
+    deficit = check_type(fallbacks, "deficit", int)
+    require(control >= 0 and deficit >= 0, "negative factor_fallbacks")
     speedup = check_type(engine, "speedup", NUMBER)
     require(speedup >= 1.0, "fast-forward speedup below 1.0")
     phases = check_type(engine, "phases", list)
